@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bases import (BaseSystem, IntegrationScheme, PeriodicOrbits, Potential,
-                    base_from_json, potential_from_json)
+                    _num_from_json, base_from_json, potential_from_json)
 from .cocycles import (Cocycle, ab_average_check, constant_cocycle,
                        lyapunov_birkhoff, lyapunov_fubini, lyapunov_periodic_exact,
                        schrodinger_cocycle, schrodinger_entry_cocycle)
@@ -77,12 +77,6 @@ def _plain(obj):
 
 def canonical_json(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
-
-
-def _num_from_json(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
 
 
 def _matrix_from_json(rows) -> Mat2:

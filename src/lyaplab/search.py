@@ -182,9 +182,9 @@ def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
 
         # s-scan downward, t-grid scan (the proof's order), verified candidates
         ev = SchrodingerFamilyEvaluator(base, scheme)
-        sv = _support_combine(ev, v_entry)
-        s1 = _support_combine(ev, one)
-        sw = _support_combine(ev, w)
+        sv = ev.potential_support(v_entry)
+        s1 = ev.potential_support(one)
+        sw = ev.potential_support(w)
         t_nodes = 512
         for j in range(0, 21):
             s = 2.0 ** (-j)
@@ -233,10 +233,6 @@ def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _support_combine(ev: SchrodingerFamilyEvaluator, pot: Potential):
-    return ev.potential_support(pot)
 
 
 def _broadcast_entries(ev, sv, s1, sw, c0, c1):

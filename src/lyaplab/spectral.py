@@ -11,7 +11,7 @@ and then polished by bisection on the matrix-product discriminant itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,16 +87,20 @@ def discriminant(v: PeriodicPotential, energy) -> complex | np.ndarray:
     return tr[0].item() if scalar else tr
 
 
-def _edge_matrix(v: PeriodicPotential, sigma: float) -> np.ndarray:
-    """One-period restriction with (anti)periodic boundary: eigenvalues are
-    exactly the roots of t(E) = 2*sigma."""
+def _edge_matrix(v: PeriodicPotential, phase) -> np.ndarray:
+    """One-period restriction whose boundary hopping carries `phase` (and its
+    conjugate on the other side): eigenvalues are exactly the roots of
+    t(E) = 2 Re(phase) for a unit phase.  Real +-1 gives the real
+    (anti)periodic matrix; an array of phases gives a stack of matrices."""
+    phase = np.asarray(phase)
     n = v.n
-    h = np.diag(np.asarray(v.values, dtype=float))
-    for j in range(n):
-        k = (j + 1) % n
-        phase = 1.0 if j + 1 < n else sigma
-        h[j, k] += phase
-        h[k, j] += phase
+    i = np.arange(n)
+    h = np.zeros(phase.shape + (n, n), dtype=np.result_type(phase, float))
+    h[..., i, i] = v.values
+    h[..., i[:-1], i[1:]] += 1.0
+    h[..., i[1:], i[:-1]] += 1.0
+    h[..., n - 1, 0] += phase
+    h[..., 0, n - 1] += np.conj(phase)
     return h
 
 
@@ -241,15 +245,16 @@ class IDS:
     theta_k = arccos(-t/2) on bands traversed with t increasing and
     arccos(t/2) on the others; N is constant (k+1)/n on the k-th gap.  The
     orientation alternates from the top band, where t ends at +2 (monic t).
-    Each band carries a Chebyshev model of the inverse E(theta) with its
-    verified accuracy; the Thouless quadrature falls back to direct bisection
-    on bands where a nearly closed neighboring gap spoils the model.
+    The inverse E_k(theta) is the k-th Floquet-Bloch eigenvalue: the k-th
+    eigenvalue of the one-period matrix with boundary phase e^{i phi}, where
+    phi = pi - theta on increasing bands and phi = theta on the others, so
+    E_k(0) and E_k(pi) are the band's left and right edges.
     """
 
     potential: PeriodicPotential
     edges: tuple[float, ...]
     increasing: tuple[bool, ...]
-    cheb_models: tuple[np.polynomial.chebyshev.Chebyshev, ...] = field(repr=False)
+    # always (): the eigenvalue inverse has no model; perfbench/tracing.py reads it
     model_errors: tuple[float, ...] = ()
 
     @property
@@ -282,63 +287,19 @@ class IDS:
                 out[i] = (k + 1) / n
         return out if np.ndim(energy) else out[0].item()
 
-    def band_energy(self, k: int, thetas: np.ndarray) -> np.ndarray:
-        return self.cheb_models[k](np.asarray(thetas, dtype=float))
+    def band_energy(self, k: int, thetas) -> np.ndarray:
+        """E_k(theta) at every theta, from one batched eigvalsh."""
+        thetas = np.asarray(thetas, dtype=float)
+        phi = math.pi - thetas if self.increasing[k] else thetas
+        return np.linalg.eigvalsh(_edge_matrix(self.potential, np.exp(1j * phi)))[..., k]
 
 
-def _band_inverse(v: PeriodicPotential, a: float, b: float, increasing: bool, thetas: np.ndarray) -> np.ndarray:
-    """E in [a, b] with t(E) = -+ 2 cos(theta), by vectorized bisection
-    (t is monotone through each elementary band)."""
-    target = -2.0 * np.cos(thetas) if increasing else 2.0 * np.cos(thetas)
-    lo = np.full(np.shape(thetas), a)
-    hi = np.full(np.shape(thetas), b)
-    t_lo = np.real(discriminant(v, lo)) - target
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        t_mid = np.real(discriminant(v, mid)) - target
-        take_low = (t_lo * t_mid) <= 0.0
-        hi = np.where(take_low, mid, hi)
-        lo = np.where(take_low, lo, mid)
-        t_lo = np.where(take_low, t_lo, t_mid)
-        if np.max(hi - lo) < 1e-15 * (1.0 + np.max(np.abs(hi))):
-            break
-    return 0.5 * (lo + hi)
-
-
-def ids(v: PeriodicPotential, cheb_degree: int = 128) -> IDS:
-    """Build the IDS parameterization (bands, orientations, inverse models).
-
-    A band next to a nearly closed gap makes E(theta) hard to interpolate
-    (its complex singularities approach the interval); such bands keep their
-    best model together with the measured error, and downstream quadrature
-    switches to direct bisection there.
-    """
-    edges = band_edges(v)
+def ids(v: PeriodicPotential) -> IDS:
+    """Build the IDS parameterization: the band edges and each band's
+    orientation; IDS.band_energy computes the inverse on demand."""
     n = v.n
-    increasing = tuple(((n - 1 - k) % 2 == 0) for k in range(n))
-    models = []
-    errors = []
-    for k in range(n):
-        a, b = float(edges[2 * k]), float(edges[2 * k + 1])
-        if b - a < 1e-13:
-            models.append(np.polynomial.chebyshev.Chebyshev([0.5 * (a + b)], domain=[0.0, math.pi]))
-            errors.append(0.0)
-            continue
-        deg = cheb_degree
-        while True:
-            model = np.polynomial.chebyshev.Chebyshev.interpolate(
-                lambda th: _band_inverse(v, a, b, increasing[k], th), deg,
-                domain=[0.0, math.pi])
-            probe = np.linspace(0.0, math.pi, 257)
-            err = float(np.max(np.abs(model(probe) - _band_inverse(v, a, b, increasing[k], probe))))
-            if err < 1e-11 * (1.0 + abs(a) + abs(b)) or deg >= 512:
-                break
-            deg *= 2
-        models.append(model)
-        errors.append(err)
-    return IDS(potential=v, edges=tuple(float(e) for e in edges),
-               increasing=increasing, cheb_models=tuple(models),
-               model_errors=tuple(errors))
+    return IDS(potential=v, edges=tuple(float(e) for e in band_edges(v)),
+               increasing=tuple(((n - 1 - k) % 2 == 0) for k in range(n)))
 
 
 def thouless_lyapunov(n_of_e: IDS, energy: float, tol: float = 1e-8) -> float:
@@ -352,21 +313,16 @@ def thouless_lyapunov(n_of_e: IDS, energy: float, tol: float = 1e-8) -> float:
     e0 = float(energy)
     n = n_of_e.n
     edges = n_of_e.edges
-    v = n_of_e.potential
     total = 0.0
     for k in range(n):
         a, b = edges[2 * k], edges[2 * k + 1]
         if b - a < 1e-13:
             total += math.log(abs(0.5 * (a + b) - e0) + 1e-300) / n
             continue
-        scale = 1.0 + abs(a) + abs(b)
-        model = n_of_e.cheb_models[k]
-        model_ok = (not n_of_e.model_errors) or n_of_e.model_errors[k] <= 1e-10 * scale
-        if model_ok:
-            e_of = model
-        else:
-            def e_of(th, _a=a, _b=b, _inc=n_of_e.increasing[k]):
-                return _band_inverse(v, _a, _b, _inc, np.asarray(th, dtype=float))
+
+        def e_of(th, k=k):
+            return n_of_e.band_energy(k, th)
+
         inside = a - 1e-12 <= e0 <= b + 1e-12
         if inside:
             theta0 = float(n_of_e.theta_in_band(k, min(max(e0, a), b)))

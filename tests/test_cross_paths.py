@@ -88,6 +88,10 @@ def test_spectral_structure_random(n, seed):
     bs = bands(pot)
     assert 1 <= bs.count <= n
     n_of_e = ids(pot)
+    for k in range(n):
+        a, b = edges[2 * k], edges[2 * k + 1]
+        ends = n_of_e.band_energy(k, [0.0, math.pi])
+        assert np.max(np.abs(ends - [a, b])) <= 1e-12 * (1.0 + abs(a) + abs(b))
     grid = np.linspace(edges[0] - 1.0, edges[-1] + 1.0, 400)
     vals = n_of_e.evaluate(grid)
     assert np.all(np.diff(vals) >= -1e-12)

@@ -174,6 +174,21 @@ class TestIDS:
                 empirical = float(np.mean(eigs <= e))
                 assert abs(n_of_e.evaluate(e) - empirical) < 0.02
 
+    def test_band_energy_edges_and_inverse_seeded(self):
+        # the 70 bands of criterion 4's potentials: E_k(0), E_k(pi) are the
+        # band's own edges and theta_in_band inverts band_energy inside
+        thetas = np.linspace(0.0, math.pi, 17)[1:-1]
+        for k in range(20):
+            n = 2 + (k % 4)
+            vals = tuple(-1.5 + 3.0 * float(x) for x in uniform_stream(1100 + k, 0, n))
+            n_of_e = ids(PeriodicPotential(vals))
+            for band in range(n):
+                a, b = n_of_e.edges[2 * band], n_of_e.edges[2 * band + 1]
+                ends = n_of_e.band_energy(band, [0.0, math.pi])
+                assert np.max(np.abs(ends - [a, b])) <= 1e-12 * (1.0 + abs(a) + abs(b))
+                back = n_of_e.theta_in_band(band, n_of_e.band_energy(band, thetas))
+                assert np.max(np.abs(back - thetas)) <= 1e-12
+
 
 class TestThouless:
     def test_free_hyperbolic_energy(self):
