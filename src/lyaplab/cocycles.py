@@ -146,86 +146,173 @@ def _log_opnorm_of_product(c: Cocycle, x: BasePoint, n: int) -> float:
 # eigenvalue helpers (scaled spectral radius)
 
 def _lnrho_scaled(tr_hat: np.ndarray, det_hat: np.ndarray, logscale: np.ndarray,
-                  real_input: np.ndarray) -> np.ndarray:
+                  real_input: bool) -> np.ndarray:
     """log spectral radius of matrices exp(logscale) * M_hat given trace and
     det of M_hat.  Real elliptic/parabolic monodromies (|trace| <= 2) snap to
     exactly 0; roundoff negatives are clamped (|det| = 1 forces rho >= 1)."""
-    tr_hat = np.asarray(tr_hat, dtype=complex)
-    det_hat = np.asarray(det_hat, dtype=complex)
-    logscale = np.broadcast_to(np.asarray(logscale, dtype=float), tr_hat.shape)
-    disc = np.sqrt(tr_hat * tr_hat - 4.0 * det_hat)
+    disc = np.sqrt(tr_hat * tr_hat - 4.0 * det_hat + 0j)
     rho_hat = 0.5 * np.maximum(np.abs(tr_hat + disc), np.abs(tr_hat - disc))
     with np.errstate(divide="ignore"):
         out = logscale + np.log(rho_hat)
         log_tr_true = logscale + np.log(np.abs(tr_hat))
     out = np.maximum(out, 0.0)
-    real_in = np.broadcast_to(np.asarray(real_input, dtype=bool), tr_hat.shape)
-    elliptic = (real_in
-                & (np.abs(tr_hat.imag) <= 1e-12 * np.abs(tr_hat.real) + 1e-300)
+    if not real_input:
+        return out
+    elliptic = ((np.abs(tr_hat.imag) <= 1e-12 * np.abs(tr_hat.real) + 1e-300)
                 & (log_tr_true <= math.log(2.0) + 1e-14))
     return np.where(elliptic, 0.0, out)
 
 
 # ---------------------------------------------------------------------------
-# batched kernels over Schrodinger entry arrays
+# the batched product kernel
+#
+# A stack of 2x2 matrices is held as its four components (a, b, c, d), each
+# an array of one shape (..., n), for [[a, b], [c, d]] elementwise.  A
+# renormalized matrix appends its log scale: (a, b, c, d, logscale) stands
+# for exp(logscale) [[a, b], [c, d]].  Real components stay real.
 
-def _tree_reduce(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ordered product factors[..., n-1] @ ... @ factors[..., 0] by pairwise
-    tree reduction with per-level rescaling.
+def _components(mats: np.ndarray) -> tuple:
+    """(..., 2, 2) matrices as components."""
+    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
 
-    factors: (..., n, 2, 2).  Returns (trace_hat, det_hat, logscale,
-    log_opnorm_hat) of the product written as exp(logscale) * M_hat with
-    M_hat of unit max-entry.  Rescaling every level keeps all intermediates
-    bounded, so arbitrarily long hyperbolic products cannot overflow.
+
+def _matmul(x, y) -> tuple:
+    """x @ y on components (trailing logscales are ignored)."""
+    a1, b1, c1, d1 = x[:4]
+    a0, b0, c0, d0 = y[:4]
+    return (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+            c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+
+
+def _rescaled(a, b, c, d, logscale) -> tuple:
+    """Divide by the largest entry modulus and move its log into logscale."""
+    big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    scale = np.where(big > 0.0, big, 1.0)
+    inv = 1.0 / scale
+    return a * inv, b * inv, c * inv, d * inv, logscale + np.log(scale)
+
+
+def _join(hi, lo) -> tuple:
+    """Renormalized hi @ lo."""
+    return _rescaled(*_matmul(hi, lo), hi[4] + lo[4])
+
+
+def _tree_reduce(m, carry=None) -> tuple:
+    """Renormalized ordered product carry @ m[..., n-1] @ ... @ m[..., 0] of
+    the renormalized stack m along its last axis, by pairwise tree reduction.
+
+    Every level multiplies neighbouring pairs and rescales each product to
+    unit max entry, so arbitrarily long hyperbolic products cannot overflow.
+    At an odd length the last element joins carry, the product of all later
+    factors, which multiplies the result at the end.
     """
-    m = np.asarray(factors, dtype=complex)
-    lead = m.shape[:-3]
-    logscale = np.zeros(lead + (m.shape[-3],))
-    while m.shape[-3] > 1:
-        n = m.shape[-3]
-        if n % 2 == 1:
-            pad_m = np.broadcast_to(np.eye(2, dtype=complex), lead + (1, 2, 2))
-            m = np.concatenate([m, pad_m], axis=-3)
-            logscale = np.concatenate([logscale, np.zeros(lead + (1,))], axis=-1)
-        m = np.matmul(m[..., 1::2, :, :], m[..., 0::2, :, :])
-        logscale = logscale[..., 0::2] + logscale[..., 1::2]
-        biggest = np.abs(m).max(axis=(-2, -1))
-        scale = np.where(biggest > 0.0, biggest, 1.0)
-        m = m / scale[..., None, None]
-        logscale = logscale + np.log(scale)
-    m = m[..., 0, :, :]
-    c = logscale[..., 0]
-    tr = m[..., 0, 0] + m[..., 1, 1]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    s = (np.abs(m) ** 2).sum(axis=(-2, -1))
+    while m[0].shape[-1] > 1:
+        n = m[0].shape[-1]
+        if n % 2:
+            last = tuple(x[..., -1] for x in m)
+            carry = last if carry is None else _join(carry, last)
+        m = _join(tuple(x[..., 1::2] for x in m), tuple(x[..., 0:n - 1:2] for x in m))
+    m = tuple(x[..., 0] for x in m)
+    return m if carry is None else _join(carry, m)
+
+
+def _product(a, b, c, d) -> tuple:
+    """Renormalized product of explicit factors [[a, b], [c, d]] (..., n)."""
+    return _tree_reduce((a, b, c, d, np.zeros(np.shape(a))))
+
+
+def _schrodinger_product(entries: np.ndarray) -> tuple:
+    """Renormalized product of the [[e_j, -1], [1, 0]] factors along the last
+    axis of entries.  A single factor is returned as it is; the first tree
+    level uses the closed form
+    [[e1, -1], [1, 0]] @ [[e0, -1], [1, 0]] = [[e1 e0 - 1, -e1], [e0, -1]].
+    """
+    n = entries.shape[-1]
+    last = (entries[..., -1], -1.0, 1.0, 0.0, 0.0)
+    if n == 1:
+        return last
+    e0 = entries[..., 0:n - 1:2]
+    e1 = entries[..., 1::2]
+    m = _rescaled(e1 * e0 - 1.0, -e1, e0, -1.0, 0.0)
+    return _tree_reduce(m, last if n % 2 else None)
+
+
+def _log_opnorm(m) -> np.ndarray:
+    """log of the operator norm of a renormalized matrix."""
+    a, b, c, d, logscale = m
+    s = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
+    det = a * d - b * c
     disc = np.maximum(s * s - 4.0 * np.abs(det) ** 2, 0.0)
-    log_opnorm = 0.5 * np.log(0.5 * (s + np.sqrt(disc)))
-    return tr, det, c, log_opnorm
+    return logscale + 0.5 * np.log(0.5 * (s + np.sqrt(disc)))
 
 
-def _schrodinger_product(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Multiply out [[e_j, -1], [1, 0]] factors along the last axis.
-
-    entries has shape (..., n); returns (trace_hat, det_hat, logscale,
-    log_opnorm_hat) of the renormalized product."""
-    e = np.asarray(entries, dtype=complex)
-    factors = np.zeros(e.shape + (2, 2), dtype=complex)
-    factors[..., 0, 0] = e
-    factors[..., 0, 1] = -1.0
-    factors[..., 1, 0] = 1.0
-    return _tree_reduce(factors)
+def _first_half_and_full(product, stack) -> tuple[tuple, tuple]:
+    """Renormalized products of the first half and of the whole of the
+    factor stack (a tuple of arrays that product maps to a renormalized
+    product), in one pass: the two halves are reduced once and joined."""
+    half = stack[0].shape[-1] // 2
+    first = product(*(x[..., :half] for x in stack))
+    second = product(*(x[..., half:] for x in stack))
+    return first, _join(second, first)
 
 
-def _matrix_product(mats: np.ndarray, left: np.ndarray | None = None):
-    """Same reduction for explicit per-step factors mats (n, 2, 2), optionally
-    premultiplied stepwise by constant lane matrices left (K, 2, 2)."""
-    mats = np.asarray(mats, dtype=complex)
-    if left is None:
-        factors = mats[None, :, :, :]
-    else:
-        left = np.asarray(left, dtype=complex)
-        factors = np.matmul(left[:, None, :, :], mats[None, :, :, :])
-    return _tree_reduce(factors)
+BLOCK_ELEMENTS = 1 << 16   # factors per component array in one block (512 KiB as float64)
+
+
+def _blocks(lanes: int, samples: int, length: int) -> list[tuple[slice, slice]]:
+    """(lane slice, sample slice) blocks tiling a lanes x samples grid of
+    length-factor products, each block with at most BLOCK_ELEMENTS factors
+    (or one product, if a single one is longer)."""
+    step = max(1, BLOCK_ELEMENTS // length)
+    if step >= samples:
+        k = step // samples
+        if k >= lanes:
+            return [(slice(None), slice(None))]
+        return [(slice(lo, lo + k), slice(None)) for lo in range(0, lanes, k)]
+    return [(slice(i, i + 1), slice(lo, lo + step))
+            for i in range(lanes) for lo in range(0, samples, step)]
+
+
+def _lane_estimates(ev, product, make_stacks, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, stderrs) per lane of an evaluator's estimator.
+
+    make_stacks(ls, ss) builds the factor stacks of lanes ls: one stack per
+    periodic orbit (lanes, n_j), or one Birkhoff stack (lanes, n), or one
+    stack of the samples ss (lanes, samples, n); each stack is a tuple of
+    arrays that product maps to a renormalized product.  The lanes, and the
+    Monte Carlo samples, are taken in `_blocks`, so the temporaries stay
+    bounded for every kind and scheme.  Periodic orbits give the exact
+    weighted log spectral radius, Birkhoff orbits the N-vs-N/2 proxy as
+    stderr, samples their mean and its stderr.
+    """
+    if ev.kind == "monte_carlo":
+        per_sample = np.empty((lanes, ev.samples))
+        for ls, ss in _blocks(lanes, ev.samples, ev.n):
+            (stack,) = make_stacks(ls, ss)
+            per_sample[ls, ss] = _log_opnorm(product(*stack)) / ev.n
+        return (per_sample.mean(axis=-1),
+                per_sample.std(axis=-1, ddof=1) / math.sqrt(ev.samples))
+    vals, errs = np.empty(lanes), np.zeros(lanes)
+    if ev.kind == "periodic":
+        for ls, ss in _blocks(lanes, 1, sum(nj for nj, _ in ev.base.orbits)):
+            acc = 0.0
+            for (nj, w), stack in zip(ev.base.orbits, make_stacks(ls, ss)):
+                a, b, c, d, logscale = product(*stack)
+                tr, det = a + d, a * d - b * c
+                real = "c" not in (tr.dtype.kind, det.dtype.kind)
+                acc = acc + (w / nj) * _lnrho_scaled(tr, det, logscale, real)
+            vals[ls] = acc
+        return vals, errs
+    for ls, ss in _blocks(lanes, 1, ev.n):
+        (stack,) = make_stacks(ls, ss)
+        first, full = _first_half_and_full(product, stack)
+        vals[ls] = _log_opnorm(full) / ev.n
+        errs[ls] = np.abs(vals[ls] - _log_opnorm(first) / (ev.n // 2))
+    return vals, errs
+
+
+def _real_values(pot: Potential, values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values.real) if pot.is_real() else values
 
 
 class SchrodingerFamilyEvaluator:
@@ -235,7 +322,8 @@ class SchrodingerFamilyEvaluator:
     Monte Carlo windows); `lyapunov_batch` then maps a stack of entry arrays
     over that support to (values, stderrs).  Exact on periodic orbits, single
     Birkhoff orbit with the N-vs-N/2 proxy on rotations, seeded sample means
-    on shifts.  Complex entries are allowed everywhere.
+    on shifts.  Complex entries are allowed everywhere; real potentials have
+    real supports, and real entries are multiplied out in real arithmetic.
     """
 
     def __init__(self, base: BaseSystem, scheme: IntegrationScheme = IntegrationScheme()):
@@ -263,14 +351,15 @@ class SchrodingerFamilyEvaluator:
             for i in range(self.samples)])
 
     def potential_support(self, pot: Potential) -> object:
-        """Values of pot over the support; combine linearly and feed the result
-        to lyapunov_batch."""
+        """Values of pot over the support (float64 when pot is real); combine
+        them with `lane_entries` and feed the result to lyapunov_batch."""
         check_attachment(pot, self.base)
         if self.kind == "periodic":
-            return [np.array([pot.value(PeriodicPoint(j, p)) for p in range(n)], dtype=complex)
+            return [_real_values(pot, np.array([pot.value(PeriodicPoint(j, p))
+                                                for p in range(n)], dtype=complex))
                     for j, (n, _) in enumerate(self.base.orbits)]
         if self.kind == "birkhoff":
-            return pot.evaluate(self.xs).astype(complex)
+            return _real_values(pot, pot.evaluate(self.xs))
         depth = pot.depth
         if self.n + depth > self._window_len:
             # counter-mode symbols agree on prefixes, so longer windows are
@@ -280,36 +369,35 @@ class SchrodingerFamilyEvaluator:
         idx = np.zeros((self.samples, self.n), dtype=np.int64)
         for d in range(depth):
             idx = idx * pot.symbols + self.windows[:, d:d + self.n]
-        table = np.asarray(pot.table, dtype=complex)
+        table = _real_values(pot, np.asarray(pot.table, dtype=complex))
         return table[idx]
 
-    def lyapunov_batch(self, entries) -> tuple[np.ndarray, np.ndarray]:
+    def lane_entries(self, support, *terms):
+        """Entry stacks with lanes first: lane k holds support + sum_j c_j[k] s_j
+        over the (c_j, s_j) in terms, c_j of shape (lanes,) and support, s_j
+        from potential_support."""
         if self.kind == "periodic":
-            vals = 0.0
-            reals = [np.max(np.abs(np.asarray(e, dtype=complex).imag), axis=-1) == 0.0
-                     for e in entries]
-            for (nj, w), ent, real in zip(self.base.orbits, entries, reals):
-                tr, det, c, _ = _schrodinger_product(np.asarray(ent, dtype=complex))
-                vals = vals + (w / nj) * _lnrho_scaled(tr, det, c, real)
-            return np.asarray(vals, dtype=float), np.zeros(np.shape(vals))
-        if self.kind == "birkhoff":
-            ent = np.asarray(entries, dtype=complex)
-            half = self.n // 2
-            _, _, c_h, op_h = _schrodinger_product(ent[..., :half])
-            _, _, c, op = _schrodinger_product(ent)
-            val = (c + op) / self.n
-            val_half = (c_h + op_h) / half
-            return val, np.abs(val - val_half)
-        ent = np.asarray(entries, dtype=complex)     # (K, samples, n)
-        tr, det, c, op = _schrodinger_product(ent)
-        vals_ks = (c + op) / self.n
-        val = vals_ks.mean(axis=-1)
-        stderr = vals_ks.std(axis=-1, ddof=1) / math.sqrt(vals_ks.shape[-1])
-        return val, stderr
+            return [sum((c[:, None] * s[j][None, :] for c, s in terms), sv[None, :])
+                    for j, sv in enumerate(support)]
+        lane = (slice(None),) + (None,) * support.ndim
+        return sum((c[lane] * s[None] for c, s in terms), support[None])
+
+    def lyapunov_batch(self, entries) -> tuple[np.ndarray, np.ndarray]:
+        """entries: lanes-first stacks, as `lane_entries` builds them."""
+        stacks = [np.asarray(e) for e in entries] if self.kind == "periodic" \
+            else [np.asarray(entries)]
+        return _lane_estimates(self, _schrodinger_product,
+                               lambda ls, ss: [(e[ls, ss],) for e in stacks],
+                               len(stacks[0]))
 
 
 class MatrixFamilyEvaluator:
-    """Batched Lyapunov exponents of x -> C_k @ A(x) for constant C_k."""
+    """Batched Lyapunov exponents of x -> C_k @ A(x) for constant C_k.
+
+    `supports` holds the components of A over the support: one (n_j,) stack
+    per periodic orbit, the (n,) Birkhoff orbit, or the (samples, n) windows;
+    real when every A(x) is real.
+    """
 
     def __init__(self, cocycle: Cocycle, scheme: IntegrationScheme = IntegrationScheme()):
         self.base = cocycle.base
@@ -321,50 +409,35 @@ class MatrixFamilyEvaluator:
             for i, pt in enumerate(points):
                 a = fiber(pt)
                 out[i] = ((a.a11, a.a12), (a.a21, a.a22))
-            return out
+            return out if out.imag.any() else np.ascontiguousarray(out.real)
 
         if isinstance(self.base, PeriodicOrbits):
             self.kind = "periodic"
             self.orbit_mats = [mats_at([PeriodicPoint(j, p) for p in range(n)])
                                for j, (n, _) in enumerate(self.base.orbits)]
+            self.supports = [_components(m) for m in self.orbit_mats]
         elif isinstance(self.base, CircleRotation):
             self.kind = "birkhoff"
             self.n = max(2, scheme.n)
             xs = self.base.orbit_array(rotation_start(scheme.seed), self.n)
-            self.mats = mats_at([CirclePoint(float(x)) for x in xs])
+            self.supports = [_components(mats_at([CirclePoint(float(x)) for x in xs]))]
         else:
             self.kind = "monte_carlo"
             self.n = max(2, scheme.n)
             self.samples = max(2, scheme.samples)
-            self.sample_mats = [mats_at([ShiftPoint(_sample_seed(scheme.seed, i), k)
-                                         for k in range(self.n)])
-                                for i in range(self.samples)]
+            self.supports = [_components(np.stack([
+                mats_at([ShiftPoint(_sample_seed(scheme.seed, i), k) for k in range(self.n)])
+                for i in range(self.samples)]))]
 
     def lyapunov_batch(self, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        left = np.asarray(left, dtype=complex)
-        k = left.shape[0]
-        real_in = np.array([np.max(np.abs(left[i].imag)) == 0.0 for i in range(k)])
-        if self.kind == "periodic":
-            vals = np.zeros(k)
-            for (nj, w), mats in zip(self.base.orbits, self.orbit_mats):
-                mats_real = np.max(np.abs(mats.imag)) == 0.0
-                tr, det, c, _ = _matrix_product(mats, left)
-                vals += (w / nj) * _lnrho_scaled(tr, det, c, real_in & mats_real)
-            return vals, np.zeros(k)
-        if self.kind == "birkhoff":
-            half = self.n // 2
-            _, _, c_h, op_h = _matrix_product(self.mats[:half], left)
-            _, _, c, op = _matrix_product(self.mats, left)
-            val = (c + op) / self.n
-            val_half = (c_h + op_h) / half
-            return val, np.abs(val - val_half)
-        per_sample = np.empty((k, self.samples))
-        for i, mats in enumerate(self.sample_mats):
-            tr, det, c, op = _matrix_product(mats, left)
-            per_sample[:, i] = (c + op) / self.n
-        val = per_sample.mean(axis=1)
-        stderr = per_sample.std(axis=1, ddof=1) / math.sqrt(self.samples)
-        return val, stderr
+        left = _components(np.asarray(left))
+
+        def stacks(ls, ss):
+            return [_matmul(tuple(x[(ls,) + (None,) * sup[0].ndim] for x in left),
+                            tuple(x[ss] for x in sup))
+                    for sup in self.supports]
+
+        return _lane_estimates(self, _product, stacks, len(left[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +516,7 @@ def lyapunov_periodic_exact(c: Cocycle) -> LyapunovEstimate:
         tr = m11 + m22
         det = m11 * m22 - m12 * m21
         lnrho = float(_lnrho_scaled(np.array([tr]), np.array([det]),
-                                    np.array([logscale]), np.array([real]))[0])
+                                    np.array([logscale]), real)[0])
         total += w * lnrho / nj
     return LyapunovEstimate(value=total, stderr=0.0, method="periodic_exact")
 
@@ -494,32 +567,15 @@ def ab_average_check(c: Cocycle, theta_nodes: int = 4096,
         raise ValueError("the rotation-average identity is for real cocycles")
     thetas = (np.arange(theta_nodes) + 0.5) / theta_nodes
     if isinstance(c.base, PeriodicOrbits):
+        # one lane per theta, with factors A(x) R_theta
+        ang = 2.0 * math.pi * thetas[:, None]
+        cos, sin = np.cos(ang), np.sin(ang)
         ev = MatrixFamilyEvaluator(c, scheme)
-        lhs = 0.0
-        # A(x) R_theta has the same monodromy trace as R_theta-conjugated
-        # ordering only for period 1; evaluate the honest product per theta.
-        vals = np.zeros(theta_nodes)
-        for j, (nj, w) in enumerate(c.base.orbits):
-            mats = ev.orbit_mats[j]
-            rot = np.empty((theta_nodes, 2, 2), dtype=complex)
-            ang = 2.0 * math.pi * thetas
-            rot[:, 0, 0] = np.cos(ang)
-            rot[:, 0, 1] = np.sin(ang)
-            rot[:, 1, 0] = -np.sin(ang)
-            rot[:, 1, 1] = np.cos(ang)
-            prod = np.broadcast_to(np.eye(2, dtype=complex), (theta_nodes, 2, 2)).copy()
-            logscale = np.zeros(theta_nodes)
-            for k in range(nj):
-                prod = np.matmul(np.matmul(mats[k][None, :, :], rot), prod)
-                big = np.abs(prod).max(axis=(1, 2))
-                mask = big > _RESCALE_TRIGGER
-                if np.any(mask):
-                    sc = np.where(mask, big, 1.0)
-                    prod /= sc[:, None, None]
-                    logscale += np.log(sc)
-            tr = prod[:, 0, 0] + prod[:, 1, 1]
-            det = prod[:, 0, 0] * prod[:, 1, 1] - prod[:, 0, 1] * prod[:, 1, 0]
-            vals += (w / nj) * _lnrho_scaled(tr, det, logscale, np.array(True))
+        vals, _ = _lane_estimates(
+            ev, _product,
+            lambda ls, ss: [_matmul(sup, (cos[ls], sin[ls], -sin[ls], cos[ls]))
+                            for sup in ev.supports],
+            theta_nodes)
         lhs = float(vals.mean())
     else:
         lhs_vals = [lyapunov_birkhoff(right_rotated_cocycle(c, float(t)),

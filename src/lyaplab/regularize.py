@@ -38,7 +38,8 @@ import numpy as np
 from .bases import (BaseSystem, IntegrationScheme, PeriodicOrbits, PeriodicTable,
                     Potential, CylinderTable, combine, constant_potential)
 from .cocycles import (Cocycle, MatrixFamilyEvaluator, SchrodingerFamilyEvaluator,
-                       _lnrho_scaled, _tree_reduce)
+                       _lane_estimates, _matmul, _product,
+                       _schrodinger_product)
 from .projective import Sl2Element
 from .quadrature import QuadResult, adaptive_quadrature, gauss_legendre_rule
 
@@ -177,15 +178,9 @@ class _PhiMachine:
 
     def _entries(self, zs: np.ndarray):
         q = self.q
-        z = np.asarray(zs, dtype=complex)
-        c0 = q.epsilon * z
-        c1 = q.epsilon * (1.0 - z * z)
-        if self.periodic:
-            return [sv[None, :] + c0[:, None] * sv0[None, :] + c1[:, None] * sw[None, :]
-                    for sv, sv0, sw in zip(self.sv, self.sv0, self.sw)]
-        extra = self.sv.ndim       # 1 for rotation, 2 for shift
-        sl = (slice(None),) + (None,) * extra
-        return self.sv[None] + c0[sl] * self.sv0[None] + c1[sl] * self.sw[None]
+        z = np.asarray(zs)
+        return self.ev.lane_entries(self.sv, (q.epsilon * z, self.sv0),
+                                    (q.epsilon * (1.0 - z * z), self.sw))
 
     def L_at(self, zs) -> tuple[np.ndarray, np.ndarray]:
         return self.ev.lyapunov_batch(self._entries(zs))
@@ -216,16 +211,15 @@ class _PhiMachine:
         if not self.periodic or not self.q.w.is_real():
             self._kinks = ()
             return self._kinks
-        from .cocycles import _schrodinger_product
         found = []
         for (nj, _), sv, sv0, sw in zip(self.q.base.orbits, self.sv, self.sv0, self.sw):
             deg = 2 * nj
             ts = np.cos(math.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-            c0 = (self.q.epsilon * ts).astype(complex)
-            c1 = (self.q.epsilon * (1.0 - ts * ts)).astype(complex)
+            c0 = self.q.epsilon * ts
+            c1 = self.q.epsilon * (1.0 - ts * ts)
             entries = sv[None, :] + c0[:, None] * sv0[None, :] + c1[:, None] * sw[None, :]
-            tr_hat, _, logc, _ = _schrodinger_product(entries)
-            trace = np.real(tr_hat * np.exp(logc))
+            a, _, _, d, logc = _schrodinger_product(entries)
+            trace = (a + d) * np.exp(logc)
             coeffs = np.polynomial.chebyshev.chebfit(ts, trace, deg)
             for target in (2.0, -2.0):
                 shifted = coeffs.copy()
@@ -372,21 +366,30 @@ def constant_sl2_field(base: BaseSystem, b: Sl2Element) -> Sl2Field:
                     constant_potential(base, b.b3))
 
 
+def _exp_sl2(d1, d2, d3) -> tuple:
+    """exp of [[d1, d2], [d3, -d1]] elementwise, as components (a, b, c, d).
+
+    exp = cosh(delta) I + sinh(delta)/delta X with delta^2 = d1^2 + d2 d3.
+    Real input stays real: delta^2 < 0 takes cos and sin of |delta|."""
+    q = d1 * d1 + d2 * d3
+    small = np.abs(q) < 1e-8
+    if np.iscomplexobj(q):
+        delta = np.sqrt(q)
+        ch, sh = np.cosh(delta), np.sinh(delta)
+    else:
+        delta = np.sqrt(np.abs(q))
+        hyper = q > 0.0
+        ch = np.where(hyper, np.cosh(delta), np.cos(delta))
+        sh = np.where(hyper, np.sinh(delta), np.sin(delta))
+    sc = np.where(small, 1.0 + q / 6.0 * (1.0 + q / 20.0), sh / np.where(small, 1.0, delta))
+    return ch + sc * d1, sc * d2, sc * d3, ch - sc * d1
+
+
 def exp_sl2_batch(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarray:
-    """exp of [[d1, d2], [d3, -d1]] elementwise; returns (..., 2, 2)."""
-    d1 = np.asarray(d1, dtype=complex)
-    delta = np.sqrt(d1 * d1 + d2 * d3)
-    small = np.abs(delta) < 1e-4
-    safe = np.where(small, 1.0, delta)
-    ch = np.cosh(delta)
-    sc = np.where(small, 1.0 + delta * delta / 6.0 * (1.0 + delta * delta / 20.0),
-                  np.sinh(safe) / safe)
-    out = np.empty(np.broadcast(d1, d2, d3).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = ch + sc * d1
-    out[..., 0, 1] = sc * d2
-    out[..., 1, 0] = sc * d3
-    out[..., 1, 1] = ch - sc * d1
-    return out
+    """exp of [[d1, d2], [d3, -d1]] elementwise; returns (..., 2, 2), real
+    for real input."""
+    a, b, c, d = _exp_sl2(np.asarray(d1), np.asarray(d2), np.asarray(d3))
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
 class GeneralFamilyEvaluator:
@@ -394,7 +397,9 @@ class GeneralFamilyEvaluator:
 
     b and a may be constant sl(2) elements or x-dependent fields.  The matrix
     supports of A and the component supports of b and a are precomputed; each
-    node costs one vectorized exponential plus a tree product.
+    block of nodes (cocycles._blocks) costs one vectorized exponential, one
+    product with A and one tree reduction.  Real nodes z and s keep real
+    arithmetic.
     """
 
     def __init__(self, cocycle: Cocycle, b: Sl2Element | Sl2Field,
@@ -409,54 +414,30 @@ class GeneralFamilyEvaluator:
         self.mat_ev = MatrixFamilyEvaluator(cocycle, scheme)
         self.kind = self.mat_ev.kind
         sup_ev = SchrodingerFamilyEvaluator(base, scheme)
-        self.b_sup = [sup_ev.potential_support(p) for p in (b.p1, b.p2, b.p3)]
-        self.a_sup = [sup_ev.potential_support(p) for p in (a.p1, a.p2, a.p3)]
-
-    def _factors(self, z: complex, s: complex, amats: np.ndarray, idx) -> np.ndarray:
-        eps = self.epsilon
-        cb = eps * z
-        ca = eps * (1.0 - z * z) * s
-        d = [cb * self.b_sup[i][idx] + ca * self.a_sup[i][idx] for i in range(3)]
-        expm = exp_sl2_batch(*d)
-        return np.matmul(expm, amats)
+        b_sup = [sup_ev.potential_support(p) for p in (b.p1, b.p2, b.p3)]
+        a_sup = [sup_ev.potential_support(p) for p in (a.p1, a.p2, a.p3)]
+        # (b, a) component supports aligned with mat_ev.supports
+        if self.kind == "periodic":
+            self._fields = [([p[j] for p in b_sup], [p[j] for p in a_sup])
+                            for j in range(len(self.mat_ev.supports))]
+        else:
+            self._fields = [(b_sup, a_sup)]
 
     def lyapunov_batch(self, zs: np.ndarray, s: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        zs = np.asarray(zs, dtype=complex)
-        k = len(zs)
-        if self.kind == "periodic":
-            vals = np.zeros(k)
-            for oi, ((nj, w), amats) in enumerate(zip(self.mat_ev.base.orbits,
-                                                      self.mat_ev.orbit_mats)):
-                factors = np.stack([self._factors(z, s, amats, oi) for z in zs])
-                tr, det, c, _ = _tree_reduce(factors)
-                real_in = np.max(np.abs(factors.imag), axis=(1, 2, 3)) == 0.0
-                vals += (w / nj) * _lnrho_scaled(tr, det, c, real_in)
-            return vals, np.zeros(k)
-        if self.kind == "birkhoff":
-            n = self.mat_ev.n
-            half = n // 2
-            vals = np.empty(k)
-            errs = np.empty(k)
-            for i, z in enumerate(zs):
-                factors = self._factors(z, s, self.mat_ev.mats, slice(None))
-                _, _, c, op = _tree_reduce(factors)
-                _, _, ch, oph = _tree_reduce(factors[:half])
-                vals[i] = (c + op) / n
-                errs[i] = abs(vals[i] - (ch + oph) / half)
-            return vals, errs
-        n = self.mat_ev.n
-        samples = self.mat_ev.samples
-        vals = np.empty(k)
-        errs = np.empty(k)
-        for i, z in enumerate(zs):
-            per = np.empty(samples)
-            for si, amats in enumerate(self.mat_ev.sample_mats):
-                factors = self._factors(z, s, amats, si)
-                _, _, c, op = _tree_reduce(factors)
-                per[si] = float(c + op) / n
-            vals[i] = per.mean()
-            errs[i] = per.std(ddof=1) / math.sqrt(samples)
-        return vals, errs
+        zs = np.asarray(zs)
+        cb = self.epsilon * zs
+        ca = self.epsilon * (1.0 - zs * zs) * s
+
+        def stacks(ls, ss):
+            out = []
+            for (b_sup, a_sup), sup in zip(self._fields, self.mat_ev.supports):
+                lane = (ls,) + (None,) * sup[0].ndim
+                expm = _exp_sl2(*(cb[lane] * bi[ss] + ca[lane] * ai[ss]
+                                  for bi, ai in zip(b_sup, a_sup)))
+                out.append(_matmul(expm, tuple(x[ss] for x in sup)))
+            return out
+
+        return _lane_estimates(self.mat_ev, _product, stacks, len(zs))
 
 
 def phi_general(cocycle: Cocycle, b: Sl2Element | Sl2Field, a: Sl2Element | Sl2Field,
@@ -484,7 +465,7 @@ def phi_general(cocycle: Cocycle, b: Sl2Element | Sl2Field, a: Sl2Element | Sl2F
     ev = GeneralFamilyEvaluator(cocycle, b_f, a_f, epsilon, scheme)
 
     def integrand(ts):
-        vals, errs = ev.lyapunov_batch(ts.astype(complex), s=s)
+        vals, errs = ev.lyapunov_batch(ts, s=s)
         wts = weight(ts)
         return wts * vals, wts * errs
 

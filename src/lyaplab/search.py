@@ -192,9 +192,7 @@ def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
                 raise _BudgetExhausted()
             budget_left[0] -= 1
             ts = -1.0 + 2.0 * (np.arange(t_nodes) + 0.5) / t_nodes
-            c0 = epsilon * ts
-            c1 = epsilon * (1.0 - ts * ts) * s
-            entries = _broadcast_entries(ev, sv, s1, sw, c0, c1)
+            entries = ev.lane_entries(sv, (epsilon * ts, s1), (epsilon * (1.0 - ts * ts) * s, sw))
             vals, errs = ev.lyapunov_batch(entries)
             ok = (vals > 3.0 * errs) & (vals > 1e-6)
             trace.append({"stage": "t_scan", "s": s, "hits": int(ok.sum()),
@@ -233,16 +231,6 @@ def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _broadcast_entries(ev, sv, s1, sw, c0, c1):
-    if ev.kind == "periodic":
-        return [a[None, :] + c0[:, None] * b[None, :] + c1[:, None] * c[None, :]
-                for a, b, c in zip(sv, s1, sw)]
-    extra = sv.ndim
-    sl = (slice(None),) + (None,) * extra
-    return sv[None] + np.asarray(c0, dtype=complex)[sl] * s1[None] \
-        + np.asarray(c1, dtype=complex)[sl] * sw[None]
 
 
 def default_sl2_basis(base: BaseSystem, degree: int = 4) -> list[Sl2Field]:
@@ -326,7 +314,7 @@ def search_positive_general(cocycle: Cocycle, delta: float,
     for j in range(0, 21):
         s = 2.0 ** (-j)
         ts = -1.0 + 2.0 * (np.arange(t_nodes) + 0.5) / t_nodes
-        vals, errs = ev.lyapunov_batch(ts.astype(complex), s=s)
+        vals, errs = ev.lyapunov_batch(ts, s=s)
         ok = (vals > 3.0 * errs) & (vals > 1e-6)
         trace.append({"stage": "t_scan", "s": s, "hits": int(ok.sum()),
                       "best_L": float(vals.max())})
@@ -338,7 +326,7 @@ def search_positive_general(cocycle: Cocycle, delta: float,
         verify = GeneralFamilyEvaluator(
             cocycle, b, found_a, epsilon,
             IntegrationScheme(n=2 * scheme.n, samples=scheme.samples, seed=seed + 1))
-        vv, ee = verify.lyapunov_batch(np.array([t], dtype=complex), s=s)
+        vv, ee = verify.lyapunov_batch(np.array([t]), s=s)
         est = LyapunovEstimate(value=float(vv[0]), stderr=float(ee[0]),
                                method="birkhoff" if not isinstance(base, PeriodicOrbits)
                                else "periodic_exact", n=2 * scheme.n)
@@ -378,8 +366,6 @@ def quantita_scan(base: BaseSystem, v: Potential, w: Potential, epsilon: float,
         scheme = IntegrationScheme()
     one = constant_potential(base)
     ev = SchrodingerFamilyEvaluator(base, scheme)
-    sv = ev.potential_support(v)
-    sw = ev.potential_support(w)
     s1 = ev.potential_support(one)
 
     entry0 = combine([(-1.0, v), (-epsilon, w)])
@@ -394,10 +380,8 @@ def quantita_scan(base: BaseSystem, v: Potential, w: Potential, epsilon: float,
     success = np.zeros(t_nodes, dtype=bool)
     exponents = np.empty((t_nodes, e_nodes))
     for i, t in enumerate(t_grid):
-        c_e = np.asarray(e_grid, dtype=complex)
-        entries = _broadcast_entries(ev, _neg(sv, sw, t), s1, _zero_like(sw), c_e,
-                                     np.zeros(e_nodes))
-        vals, errs = ev.lyapunov_batch(entries)
+        sv = ev.potential_support(combine([(-1.0, v), (-t, w)]))
+        vals, errs = ev.lyapunov_batch(ev.lane_entries(sv, (e_grid, s1)))
         exponents[i] = vals
         success[i] = bool(np.any((vals > 3.0 * errs) & (vals > EXACT_FLOOR)))
     return QuantitaScan(fraction=float(success.mean()), t_grid=t_grid,
@@ -407,15 +391,3 @@ def quantita_scan(base: BaseSystem, v: Potential, w: Potential, epsilon: float,
 def _entry_cocycle(base, entry):
     from .cocycles import schrodinger_entry_cocycle
     return schrodinger_entry_cocycle(base, entry)
-
-
-def _neg(sv, sw, t):
-    if isinstance(sv, list):
-        return [-(a + t * b) for a, b in zip(sv, sw)]
-    return -(sv + t * sw)
-
-
-def _zero_like(sw):
-    if isinstance(sw, list):
-        return [np.zeros_like(a) for a in sw]
-    return np.zeros_like(sw)

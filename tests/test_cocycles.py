@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyaplab.bases import (BernoulliShift, CircleRotation, CylinderTable,
                            IntegrationScheme, PeriodicOrbits, PeriodicPoint,
                            PeriodicTable, TrigPolynomial, constant_potential,
                            uniform_stream)
+from lyaplab import cocycles
 from lyaplab.cocycles import (MatrixFamilyEvaluator, SchrodingerFamilyEvaluator,
+                              _blocks, _first_half_and_full, _product, _schrodinger_product,
                               ab_average_check, constant_cocycle, direct_product,
                               iterate_renormalized, left_multiplied_cocycle,
                               lyapunov_birkhoff, lyapunov_fubini,
-                              lyapunov_periodic_exact, right_rotated_cocycle,
-                              schrodinger_cocycle, schrodinger_entry_cocycle)
+                              lyapunov_periodic_exact, matrix_cocycle,
+                              right_rotated_cocycle, schrodinger_cocycle,
+                              schrodinger_entry_cocycle)
 from lyaplab.projective import Mat2, Sl2Element, exp_sl2, rotation
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -209,6 +213,7 @@ class TestBatchedEvaluators:
         ev = SchrodingerFamilyEvaluator(base, IntegrationScheme())
         sup_pot = ev.potential_support(pot)
         sup_one = ev.potential_support(constant_potential(base))
+        assert all(s.dtype == np.float64 for s in sup_pot + sup_one)
         energies = np.array([3.5, -2.7, 0.3, 1j])
         entries = [energies[:, None] * o[None, :] - p[None, :]
                    for o, p in zip(sup_one, sup_pot)]
@@ -217,6 +222,12 @@ class TestBatchedEvaluators:
         for e, got in zip(energies, vals):
             want = lyapunov_periodic_exact(schrodinger_cocycle(base, pot, e)).value
             assert abs(got - want) < 1e-12
+        # realness is decided per array from its dtype: the elliptic E = 0.3
+        # snaps to exactly 0 in a real batch, but inside this complex batch
+        # it keeps its clamped roundoff; the hyperbolic lanes agree bit for bit
+        real_vals, _ = ev.lyapunov_batch([e[:3].real for e in entries])
+        assert real_vals[2] == 0.0 and 0.0 <= vals[2] < 1e-12
+        assert np.array_equal(real_vals[:2], vals[:2])
 
     def test_rotation_batch_matches_scalar(self):
         gold = CircleRotation(GOLDEN)
@@ -225,6 +236,7 @@ class TestBatchedEvaluators:
         ev = SchrodingerFamilyEvaluator(gold, scheme)
         entry = ev.potential_support(pot)
         one = ev.potential_support(constant_potential(gold))
+        assert entry.dtype == np.float64 and one.dtype == np.float64
         vals, errs = ev.lyapunov_batch(0.7 * one[None, :] - entry[None, :])
         scalar = lyapunov_birkhoff(schrodinger_cocycle(gold, pot, 0.7),
                                    4096, seed=0)
@@ -266,6 +278,68 @@ class TestBatchedEvaluators:
         assert abs(vals[1] - want1) < 1e-12
 
 
+BLOCK_BASES = {
+    "periodic": (PeriodicOrbits(((3, 0.5), (2, 0.5))),
+                 PeriodicTable(((0.4, -0.9, 1.3), (0.2, -0.5)))),
+    "birkhoff": (CircleRotation(GOLDEN), TrigPolynomial(const=2.8, cos=(0.6,))),
+    "monte_carlo": (BernoulliShift(2, (0.5, 0.5)), CylinderTable(2, 2, (2.6, 3.0, 3.3, 2.8))),
+}
+
+
+def test_blocks_tile_the_grid_within_budget(monkeypatch):
+    monkeypatch.setattr(cocycles, "BLOCK_ELEMENTS", 100)
+    for lanes, samples, length in [(7, 1, 30), (7, 1, 200), (5, 4, 30), (5, 4, 10),
+                                   (3, 9, 30), (0, 4, 10), (1, 1, 100)]:
+        seen = np.zeros((lanes, samples), dtype=int)
+        for ls, ss in _blocks(lanes, samples, length):
+            assert seen[ls, ss].size * length <= max(100, length)
+            seen[ls, ss] += 1
+        assert np.all(seen == 1)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_BASES))
+def test_blocked_evaluators_match_one_block(kind, monkeypatch):
+    """Blocks of lanes (and of Monte Carlo samples) change no bit of any
+    evaluator's output, and no block of the general evaluator exponentiates
+    or multiplies out more than BLOCK_ELEMENTS factors at once."""
+    from lyaplab import regularize
+    from lyaplab.projective import ROTATION_GENERATOR
+    base, pot = BLOCK_BASES[kind]
+    scheme = IntegrationScheme(n=96, samples=12, seed=3)
+    c = schrodinger_entry_cocycle(base, pot)
+    zs = np.linspace(-0.9, 0.9, 7)
+    left = np.array([[[m.a11, m.a12], [m.a21, m.a22]]
+                     for m in (exp_sl2(Sl2Element(0.3 * z, 0.1, -0.2 * z)) for z in zs)])
+    sizes = []
+    for name in ("_exp_sl2", "_product"):
+        inner = getattr(regularize, name)
+
+        def spy(*x, inner=inner):
+            sizes.append(np.size(x[0]))
+            return inner(*x)
+
+        monkeypatch.setattr(regularize, name, spy)
+
+    def run():
+        ev = SchrodingerFamilyEvaluator(base, scheme)
+        sup, one = ev.potential_support(pot), ev.potential_support(constant_potential(base))
+        gen = regularize.GeneralFamilyEvaluator(c, ROTATION_GENERATOR,
+                                                Sl2Element(0.03, -0.02, 0.01), 0.3, scheme)
+        return [ev.lyapunov_batch(ev.lane_entries(sup, (zs, one))),
+                ev.lyapunov_batch(ev.lane_entries(sup, (zs + 0.5j, one))),
+                MatrixFamilyEvaluator(c, scheme).lyapunov_batch(left),
+                gen.lyapunov_batch(zs), gen.lyapunov_batch(zs + 0.2j, s=0.5)]
+
+    monkeypatch.setattr(cocycles, "BLOCK_ELEMENTS", 1 << 30)
+    whole = run()
+    for budget in (10, 500):
+        monkeypatch.setattr(cocycles, "BLOCK_ELEMENTS", budget)
+        sizes.clear()
+        for got, want in zip(run(), whole):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert sizes and max(sizes) <= max(budget, scheme.n)
+
+
 def test_right_rotated_cocycle_matches_manual_product():
     base = PeriodicOrbits(((2, 1.0),))
     c = schrodinger_cocycle(base, PeriodicTable(((0.4, -1.1),)), 0.7)
@@ -286,3 +360,96 @@ def test_fiber_unimodular_at_seeded_probes():
     for u in uniform_stream(77, 0, 1000):
         m = c.fiber(CirclePoint(float(u)))
         assert m.det_defect() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the component product kernel against the scalar oracle iterate_renormalized
+
+_value = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
+_small = st.one_of(st.just(0.0), st.floats(-1.5, 1.5, allow_nan=False))
+_nonzero = st.floats(0.5, 2.0).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def _factor_stacks(draw):
+    """(factors as (a, b, c, d) tuples, complex?, Schrodinger entries or None).
+
+    General factors are scale * [[a, b], [c, (1 + b c) / a]] or
+    scale * [[0, b], [-1 / b, 0]]; b, c and (1 + b c) / a may vanish."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(1, 40).map(lambda k: 2 * k + 1),
+                       st.integers(1, 64)))
+    cplx = draw(st.booleans())
+
+    def number(part):
+        return draw(part) + (1j * draw(_small) if cplx else 0.0)
+
+    if draw(st.booleans()):
+        entries = [number(_value) for _ in range(n)]
+        return [(e, -1.0, 1.0, 0.0) for e in entries], cplx, entries
+    scale = 10.0 ** draw(st.sampled_from([0, 0, 12, 40]))    # 10^40 per step passes 1e300
+    mats = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)):
+            a, b, c = number(_nonzero), number(_small), number(_small)
+            m = (a, b, c, (1.0 + b * c) / a)
+        else:
+            b = number(_nonzero)
+            m = (0.0, b, -1.0 / b, 0.0)
+        mats.append(tuple(scale * x for x in m))
+    return mats, cplx, None
+
+
+def _stack(mats, dtype):
+    arr = np.array(mats, dtype=dtype)
+    return tuple(arr[None, :, i] for i in range(4))
+
+
+def _assert_matches_oracle(got, mats):
+    n = len(mats)
+    base = PeriodicOrbits(((n, 1.0),))
+    c = matrix_cocycle(base, lambda pt: Mat2(*mats[pt.phase]), real_flag=False)
+    m, acc = iterate_renormalized(c, PeriodicPoint(0, 0), n)
+    a, b, cc, d, logscale = (np.asarray(x).reshape(-1)[0] for x in got)
+    hs = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(cc) ** 2 + abs(d) ** 2)
+    # forward error of a product: n eps prod ||A_i|| / ||prod A_i||
+    log_cond = sum(math.log(Mat2(*f).frobenius()) for f in mats) - acc
+    tol = 16.0 * (n + 1) * 2.2e-16 * math.exp(min(log_cond, 700.0))
+    # the log scales add n rounded logs, so the log norm also moves with |acc|
+    assert abs(logscale + math.log(hs) - acc) <= tol + 16.0 * 2.2e-16 * abs(acc)
+    for x, y in zip((a, b, cc, d), (m.a11, m.a12, m.a21, m.a22)):
+        assert abs(x / hs - y) <= tol
+    if n <= 8 and acc < 100.0:
+        want = direct_product(c, PeriodicPoint(0, 0), n)
+        for x, y in zip((a, b, cc, d), (want.a11, want.a12, want.a21, want.a22)):
+            assert abs(x * math.exp(logscale) - y) <= tol * math.exp(acc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_stacks())
+def test_product_kernel_matches_scalar_oracle(case):
+    mats, cplx, entries = case
+    dtype = complex if cplx else float
+    stack = _stack(mats, dtype)
+    got = _product(*stack)
+    _assert_matches_oracle(got, mats)
+    if entries is not None:
+        _assert_matches_oracle(_schrodinger_product(np.array([entries], dtype=dtype)), mats)
+    if not cplx:
+        # real arithmetic is complex arithmetic on zero imaginary parts
+        as_complex = _product(*_stack(mats, complex))
+        for x, y in zip(got, as_complex):
+            assert np.isrealobj(x) and np.array_equal(x, np.real(y))
+            assert not np.any(np.imag(y))
+        if entries is not None:
+            e = np.array([entries])
+            for x, y in zip(_schrodinger_product(e), _schrodinger_product(e.astype(complex))):
+                assert np.isrealobj(x) and np.array_equal(x, np.real(y))
+    if len(mats) >= 2:
+        # the N/2 proxy comes from the same pass as the full product
+        half = len(mats) // 2
+        first, full = _first_half_and_full(_product, stack)
+        direct = _product(*(x[..., :half] for x in stack))
+        for x, y in zip(first, direct):
+            assert np.array_equal(x, y)
+        _assert_matches_oracle(first, mats[:half])
+        _assert_matches_oracle(full, mats)
