@@ -3,8 +3,7 @@ and SVG plots.
 
 Exit codes: 0 success, 2 scenario/schema error, 3 numerical failure,
 4 search budget exhausted.  Results payloads are deterministic given the
-scenario (seed included); --threads is accepted for compatibility with the
-scenario schema and never changes results (evaluation is sequential).
+scenario (seed included).
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ EXIT_BUDGET = 4
 OPERATIONS = ("lyapunov", "certify", "bands", "ids", "phi", "ab-check",
               "search", "quantita-scan")
 
-_COMMON_KEYS = {"schema", "operation", "params", "seed", "samples", "n", "tol",
-                "threads", "out"}
+_COMMON_KEYS = {"schema", "operation", "params", "seed", "samples", "n", "tol", "out"}
 _TOP_KEYS = _COMMON_KEYS | {"base", "potential", "cocycle"}
 
 
@@ -390,9 +388,6 @@ def run_scenario(path: str, overrides: dict | None = None) -> tuple[dict, int]:
     for key, val in (overrides or {}).items():
         if val is not None:
             sc[key] = val
-    threads = int(sc.get("threads", 1))
-    if threads < 1:
-        raise SchemaError("threads must be >= 1")
     out = sc.get("out")
     if out:
         os.makedirs(out, exist_ok=True)
@@ -449,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="override iterate length")
         p.add_argument("--tol", type=float, default=None, help="override quadrature tolerance")
         p.add_argument("--out", default=None, help="output directory for record/CSV/SVG")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (accepted for schema parity; results never depend on it)")
     rep = sub.add_parser("reproduce", help="run the acceptance suite")
     rep.add_argument("--only", default=None, help="comma-separated criterion ids")
     rep.add_argument("--out", default=None, help="directory for reproduce.json")
@@ -461,7 +454,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "reproduce":
         return _run_reproduce(args)
-    overrides = {k: getattr(args, k) for k in ("seed", "samples", "n", "tol", "out", "threads")}
+    overrides = {k: getattr(args, k) for k in ("seed", "samples", "n", "tol", "out")}
     try:
         record, code = run_scenario(args.scenario, overrides)
     except SchemaError as exc:

@@ -23,8 +23,6 @@ from .bases import (BasePoint, BaseSystem, BernoulliShift, CircleRotation,
                     rotation_start, symbols_from_stream, _sample_seed)
 from .projective import IDENTITY, Mat2, rotation
 
-_RESCALE_TRIGGER = 1e100
-
 
 @dataclass(frozen=True)
 class Cocycle:
@@ -235,6 +233,14 @@ def _schrodinger_product(entries: np.ndarray) -> tuple:
     e1 = entries[..., 1::2]
     m = _rescaled(e1 * e0 - 1.0, -e1, e0, -1.0, 0.0)
     return _tree_reduce(m, last if n % 2 else None)
+
+
+def schrodinger_trace(entries: np.ndarray) -> np.ndarray:
+    """Trace of the product of the [[e_j, -1], [1, 0]] factors along the last
+    axis of entries (inf where it overflows)."""
+    a, _, _, d, logscale = _schrodinger_product(entries)
+    with np.errstate(over="ignore"):
+        return (a + d) * np.exp(logscale)
 
 
 def _log_opnorm(m) -> np.ndarray:
@@ -489,32 +495,19 @@ def lyapunov_periodic_exact(c: Cocycle) -> LyapunovEstimate:
     """sum_j w_j (1/n_j) log rho(A_{n_j}(x_j)) over the periodic orbits.
 
     rho is the spectral radius of the monodromy; elliptic/parabolic real
-    monodromies (|trace| <= 2) contribute exactly 0.
+    monodromies (|trace| <= 2) contribute exactly 0.  The monodromy comes
+    from the scalar `iterate_renormalized`, so this estimator stays an
+    oracle independent of the batched kernel.
     """
     base = c.base
     if not isinstance(base, PeriodicOrbits):
         raise TypeError("lyapunov_periodic_exact needs a PeriodicOrbits base")
     total = 0.0
     for j, (nj, w) in enumerate(base.orbits):
-        m11, m12, m21, m22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-        logscale = 0.0
-        real = True
-        pt = PeriodicPoint(j, 0)
-        for _ in range(nj):
-            a = c.fiber(pt)
-            real = real and a.is_real()
-            n11 = a.a11 * m11 + a.a12 * m21
-            n12 = a.a11 * m12 + a.a12 * m22
-            n21 = a.a21 * m11 + a.a22 * m21
-            n22 = a.a21 * m12 + a.a22 * m22
-            m11, m12, m21, m22 = n11, n12, n21, n22
-            big = max(abs(m11), abs(m12), abs(m21), abs(m22))
-            if big > _RESCALE_TRIGGER:
-                m11, m12, m21, m22 = m11 / big, m12 / big, m21 / big, m22 / big
-                logscale += math.log(big)
-            pt = base.step(pt)
-        tr = m11 + m22
-        det = m11 * m22 - m12 * m21
+        m, logscale = iterate_renormalized(c, PeriodicPoint(j, 0), nj)
+        real = all(c.fiber(PeriodicPoint(j, p)).is_real() for p in range(nj))
+        tr = m.a11 + m.a22
+        det = m.a11 * m.a22 - m.a12 * m.a21
         lnrho = float(_lnrho_scaled(np.array([tr]), np.array([det]),
                                     np.array([logscale]), real)[0])
         total += w * lnrho / nj

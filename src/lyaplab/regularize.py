@@ -38,8 +38,7 @@ import numpy as np
 from .bases import (BaseSystem, IntegrationScheme, PeriodicOrbits, PeriodicTable,
                     Potential, CylinderTable, combine, constant_potential)
 from .cocycles import (Cocycle, MatrixFamilyEvaluator, SchrodingerFamilyEvaluator,
-                       _lane_estimates, _matmul, _product,
-                       _schrodinger_product)
+                       _lane_estimates, _matmul, _product, schrodinger_trace)
 from .projective import Sl2Element
 from .quadrature import QuadResult, adaptive_quadrature, gauss_legendre_rule
 
@@ -217,9 +216,8 @@ class _PhiMachine:
             ts = np.cos(math.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
             c0 = self.q.epsilon * ts
             c1 = self.q.epsilon * (1.0 - ts * ts)
-            entries = sv[None, :] + c0[:, None] * sv0[None, :] + c1[:, None] * sw[None, :]
-            a, _, _, d, logc = _schrodinger_product(entries)
-            trace = (a + d) * np.exp(logc)
+            trace = schrodinger_trace(sv[None, :] + c0[:, None] * sv0[None, :]
+                                      + c1[:, None] * sw[None, :])
             coeffs = np.polynomial.chebyshev.chebfit(ts, trace, deg)
             for target in (2.0, -2.0):
                 shifted = coeffs.copy()

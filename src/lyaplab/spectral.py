@@ -3,9 +3,8 @@ gap opening, integrated density of states, and Thouless-formula exponents.
 
 The operator is (H u)_j = u_{j+1} + u_{j-1} + v_j u_j with v of period n.
 Band edges are the solutions of t(E) = +-2 for the monodromy trace t; they
-are localized exactly as eigenvalues of the periodic and antiperiodic
-restrictions to one period (symmetric matrices, so nothing can be missed)
-and then polished by bisection on the matrix-product discriminant itself.
+are exactly the eigenvalues of the periodic and antiperiodic restrictions to
+one period (symmetric matrices, so nothing can be missed).
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import uniform_stream
+from .cocycles import schrodinger_trace
 from .quadrature import adaptive_quadrature
 
-EDGE_BISECTION_TOL = 1e-12
 DEFAULT_RESOLUTION = 1e-9
 
 
@@ -50,41 +49,17 @@ class PeriodicPotential:
         return PeriodicPotential(tuple(vals))
 
 
-def discriminant(v: PeriodicPotential, energy) -> complex | np.ndarray:
+def discriminant(v: PeriodicPotential, energy) -> float | complex | np.ndarray:
     """Trace of the period-n monodromy at the given energy (scalar or array).
 
     As a function of real E this is the monic degree-n polynomial whose
-    |t| <= 2 set is the spectrum; it is evaluated by the matrix product
-    (never by expanded coefficients), with overflow-guarded rescaling.
+    |t| <= 2 set is the spectrum; it is evaluated by the renormalized
+    product kernel (never by expanded coefficients), with the energies as
+    lanes.  The result is real for real energies and complex otherwise.
     """
-    e = np.asarray(energy, dtype=complex)
-    scalar = e.ndim == 0
-    e = np.atleast_1d(e)
-    m11 = np.ones_like(e)
-    m12 = np.zeros_like(e)
-    m21 = np.zeros_like(e)
-    m22 = np.ones_like(e)
-    logscale = np.zeros(e.shape)
-    for j, vj in enumerate(v.values):
-        w = e - vj
-        n11 = w * m11 - m21
-        n12 = w * m12 - m22
-        m21, m22 = m11, m12
-        m11, m12 = n11, n12
-        if (j + 1) % 8 == 0:
-            big = np.maximum(np.abs(m11), np.abs(m12))
-            np.maximum(big, np.abs(m21), out=big)
-            np.maximum(big, np.abs(m22), out=big)
-            mask = big > 1e100
-            if np.any(mask):
-                sc = np.where(mask, big, 1.0)
-                m11, m12, m21, m22 = m11 / sc, m12 / sc, m21 / sc, m22 / sc
-                logscale += np.log(sc)
-    with np.errstate(over="ignore"):
-        tr = (m11 + m22) * np.exp(logscale)
-    if np.all(tr.imag == 0.0):
-        tr = tr.real
-    return tr[0].item() if scalar else tr
+    e = np.asarray(energy)
+    t = schrodinger_trace(e[..., None] - np.asarray(v.values))
+    return t if e.ndim else t.item()
 
 
 def _edge_matrix(v: PeriodicPotential, phase) -> np.ndarray:
@@ -105,49 +80,13 @@ def _edge_matrix(v: PeriodicPotential, phase) -> np.ndarray:
 
 
 def band_edges(v: PeriodicPotential) -> np.ndarray:
-    """The 2n roots of t(E)^2 = 4 (with multiplicity), sorted.
+    """The 2n roots of t(E)^2 = 4 (with multiplicity), sorted: the periodic
+    and antiperiodic eigenvalues.
 
     Consecutive pairs are the closed bands; equal interior pairs are closed
-    gaps.  Each simple root is polished by bisection on the discriminant.
+    gaps.
     """
-    n = v.n
-    per = np.linalg.eigvalsh(_edge_matrix(v, +1.0))
-    anti = np.linalg.eigvalsh(_edge_matrix(v, -1.0))
-    edges = []
-    for sigma, eigs in ((+1.0, per), (-1.0, anti)):
-        eigs = np.sort(eigs)
-        for i, mu in enumerate(eigs):
-            gap_left = abs(mu - eigs[i - 1]) if i > 0 else math.inf
-            gap_right = abs(eigs[i + 1] - mu) if i + 1 < len(eigs) else math.inf
-            h = min(1e-6 * (1.0 + abs(mu)), 0.25 * min(gap_left, gap_right))
-            h = max(h, 1e-13)
-            lo, hi = mu - h, mu + h
-            glo = float(np.real(discriminant(v, lo))) - 2.0 * sigma
-            ghi = float(np.real(discriminant(v, hi))) - 2.0 * sigma
-            if glo == 0.0:
-                edges.append(lo)
-                continue
-            if ghi == 0.0:
-                edges.append(hi)
-                continue
-            if glo * ghi > 0.0:
-                edges.append(float(mu))      # double root (closed gap): keep eigenvalue
-                continue
-            while hi - lo > EDGE_BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                gm = float(np.real(discriminant(v, mid))) - 2.0 * sigma
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if glo * gm < 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            edges.append(0.5 * (lo + hi))
-    out = np.sort(np.asarray(edges))
-    if len(out) != 2 * n:
-        raise AssertionError("edge localization lost roots")
-    return out
+    return np.sort(np.linalg.eigvalsh(_edge_matrix(v, np.array([1.0, -1.0]))), axis=None)
 
 
 @dataclass(frozen=True)
@@ -228,7 +167,7 @@ def find_hyperbolic_energy(v: PeriodicPotential,
             continue
         # the clipped gap is open and nonempty, so its midpoint is interior
         cand = 0.5 * (a + b)
-        if abs(float(np.real(discriminant(v, cand)))) > 2.0:
+        if abs(discriminant(v, cand)) > 2.0:
             return float(cand)
     raise HyperbolicEnergyNotFound(
         f"no gap energy with |t| > 2 in (+-{bound:.6f}); are all gaps open?")
@@ -261,30 +200,22 @@ class IDS:
     def n(self) -> int:
         return self.potential.n
 
-    def theta_in_band(self, k: int, energy) -> np.ndarray:
-        t = np.real(discriminant(self.potential, np.asarray(energy, dtype=float)))
-        arg = np.clip((-t if self.increasing[k] else t) / 2.0, -1.0, 1.0)
+    def theta_in_band(self, k, energy) -> np.ndarray:
+        """theta_k(E) for band index k (an int, or an array matching energy)."""
+        t = discriminant(self.potential, np.asarray(energy, dtype=float))
+        arg = np.clip(np.where(np.asarray(self.increasing)[k], -t, t) / 2.0, -1.0, 1.0)
         return np.arccos(arg)
 
     def evaluate(self, energy) -> np.ndarray:
         e = np.atleast_1d(np.asarray(energy, dtype=float))
-        n = self.n
         edges = np.asarray(self.edges)
-        out = np.empty(e.shape)
-        # index of the band whose right edge is the first >= E
+        # the first edge >= E is band k's right edge when E is in band k
+        # (inside 0) and band k+1's left edge when E is in the gap above it;
+        # below every edge E counts as band 0, above every edge as the top gap
         pos = np.searchsorted(edges, e, side="left")
-        for i, (ei, p) in enumerate(zip(e, pos)):
-            if p == 0:
-                out[i] = 0.0 if ei < edges[0] else self.theta_in_band(0, ei) / (n * math.pi)
-                continue
-            if p == 2 * n:
-                out[i] = 1.0
-                continue
-            k, inside = divmod(p - 1, 2)
-            if inside == 0:      # within band k
-                out[i] = (k + self.theta_in_band(k, ei) / math.pi) / n
-            else:                # in the gap above band k
-                out[i] = (k + 1) / n
+        k, inside = np.divmod(np.maximum(pos - 1, 0), 2)
+        out = np.where(inside == 0, k + self.theta_in_band(k, e) / math.pi, k + 1) / self.n
+        out = np.where(e < edges[0], 0.0, out)
         return out if np.ndim(energy) else out[0].item()
 
     def band_energy(self, k: int, thetas) -> np.ndarray:

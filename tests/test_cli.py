@@ -72,12 +72,6 @@ class TestRunRecords:
         b, _ = run_scenario(path)
         assert canonical_json(a["results"]) == canonical_json(b["results"])
 
-    def test_threads_flag_never_changes_results(self, tmp_path):
-        path = write(tmp_path, "s.json", lyap_scenario())
-        a, _ = run_scenario(path, {"threads": 1})
-        b, _ = run_scenario(path, {"threads": 8})
-        assert canonical_json(a["results"]) == canonical_json(b["results"])
-
     def test_bands_csv_and_svg(self, tmp_path):
         sc = {"schema": "lyaplab/scenario/v1", "operation": "bands",
               "params": {"values": [0.0, 3.0]}}
@@ -212,7 +206,7 @@ class TestParserSchemaParity:
         lyap = sub.choices["lyapunov"]
         flags = {a.dest for a in lyap._actions
                  if a.option_strings and a.dest != "help"}
-        assert flags == {"scenario", "seed", "samples", "n", "tol", "out", "threads"}
+        assert flags == {"scenario", "seed", "samples", "n", "tol", "out"}
         from lyaplab.cli import _COMMON_KEYS
         scenario_overridables = _COMMON_KEYS - {"schema", "operation", "params"}
         assert flags - {"scenario"} == scenario_overridables

@@ -7,14 +7,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lyaplab.bases import (BernoulliShift, CircleRotation, CylinderTable,
-                           IntegrationScheme, TrigPolynomial, combine,
+                           IntegrationScheme, PeriodicOrbits, PeriodicPoint,
+                           PeriodicTable, TrigPolynomial, combine,
                            constant_potential)
 from lyaplab.cli import run_scenario
-from lyaplab.cocycles import (SchrodingerFamilyEvaluator, lyapunov_birkhoff,
-                              lyapunov_fubini, schrodinger_cocycle,
+from lyaplab.cocycles import (SchrodingerFamilyEvaluator, iterate_renormalized,
+                              lyapunov_birkhoff, lyapunov_fubini, schrodinger_cocycle,
                               schrodinger_entry_cocycle)
 from lyaplab.conefield import harmonicity_probe
 from lyaplab.regularize import PhiQuery, phi, phi_boundary
@@ -74,6 +75,36 @@ def test_harmonicity_probe_on_rotation_base():
     # Birkhoff noise dominates here; the constant-fiber values are exact per
     # node, so the defect still collapses
     assert abs(defect) < 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 10 ** 6), st.floats(-1.0, 5.0),
+       st.floats(0.0, 2.0 * math.pi), st.booleans())
+@example(40, 7, 3.0, 0.0, False)           # |t| ~ 1e120, far past 1e100
+@example(40, 7, 3.0, 0.3, True)
+@example(3, 1, 0.2, math.pi, True)         # complex dtype, zero imaginary part
+def test_discriminant_matches_scalar_oracle(n, seed, log_r, angle, cplx):
+    # the trace of the monodromy from the batched kernel against the scalar
+    # renormalized product of the same Schrodinger cocycle
+    rng = np.random.default_rng(seed)
+    vals = tuple(rng.uniform(-3.0, 3.0, n))
+    r = 10.0 ** min(log_r, 280.0 / n)
+    energy = r * complex(math.cos(angle), math.sin(angle)) if cplx else r * math.cos(angle)
+    base = PeriodicOrbits(((n, 1.0),))
+    c = schrodinger_cocycle(base, PeriodicTable((vals,)), energy)
+    log_norms = sum(math.log(c.fiber(PeriodicPoint(0, p)).frobenius()) for p in range(n))
+    assume(log_norms < 690.0)
+    m, acc = iterate_renormalized(c, PeriodicPoint(0, 0), n)
+    want = (m.a11 + m.a22) * math.exp(acc)
+    got = discriminant(PeriodicPotential(vals), energy)
+    assert type(got) is (complex if cplx else float)
+    # forward error of both products: n eps prod ||A_i||, plus the rounded logs
+    tol = 32.0 * (n + 1 + acc) * 2.2e-16 * math.exp(log_norms)
+    assert math.isfinite(abs(got)) and abs(got - want) <= tol
+    grid = np.array([energy, 0.5 * energy])
+    ts = discriminant(PeriodicPotential(vals), grid)
+    assert ts.dtype == (np.complex128 if cplx else np.float64)
+    assert abs(ts[0] - got) <= tol
 
 
 @settings(max_examples=25, deadline=None)

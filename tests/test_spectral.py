@@ -84,6 +84,18 @@ class TestBands:
         for e in band_edges(pot):
             assert abs(abs(discriminant(pot, float(e))) - 2.0) < 1e-8
 
+    def test_edges_are_discriminant_roots_seeded(self):
+        # the (anti)periodic eigenvalues are the exact roots of t(E) = +-2:
+        # 1500 seeded potentials of periods 1-8 with values in [-3, 3]
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for k in range(1500):
+            pot = PeriodicPotential(tuple(rng.uniform(-3.0, 3.0, 1 + k % 8)))
+            edges = band_edges(pot)
+            assert len(edges) == 2 * pot.n and np.all(np.diff(edges) >= 0.0)
+            worst = max(worst, float(np.max(np.abs(np.abs(discriminant(pot, edges)) - 2.0))))
+        assert worst <= 1e-9
+
     def test_interior_is_spectrum(self):
         pot = PeriodicPotential((0.8, -0.6, 0.2))
         bs = bands(pot)
