@@ -376,28 +376,18 @@ def check_attachment(pot: Potential, base: BaseSystem):
 
 @dataclass(frozen=True)
 class IntegrationScheme:
-    """How to realize the d-mu average.
+    """How to realize the d-mu average; the base family picks the rule:
+    exact sums on periodic orbits, a single Birkhoff orbit on rotations
+    (quasi Monte Carlo), seeded Monte Carlo on shifts.
 
-    method: 'auto' picks exact sums on periodic orbits, a single Birkhoff
-    orbit on rotations (quasi Monte Carlo), seeded Monte Carlo on shifts.
-    n: Birkhoff orbit length (rotation).  samples: Monte Carlo sample count
-    (shift).  seed: stream seed for the rotation start point and shift draws.
+    n: Birkhoff orbit length (rotation, and window length per shift sample
+    in the Lyapunov estimators).  samples: Monte Carlo sample count (shift).
+    seed: stream seed for the rotation start point and shift draws.
     """
 
-    method: str = "auto"
     n: int = 4096
     samples: int = 256
     seed: int = 0
-    window: int = 0          # symbols of two-sided context per shift sample
-
-    def resolve(self, base: BaseSystem) -> str:
-        table = {PeriodicOrbits: "exact", CircleRotation: "birkhoff", BernoulliShift: "monte_carlo"}
-        natural = table[type(base)]
-        if self.method == "auto":
-            return natural
-        if self.method != natural:
-            raise FamilyMismatch(f"scheme {self.method!r} is incompatible with {type(base).__name__}")
-        return natural
 
 
 def rotation_start(seed: int) -> float:
@@ -413,14 +403,13 @@ def integrate(base: BaseSystem, observable: Callable[[BasePoint], float],
     one orbit with the N-versus-N/2 difference as error proxy on rotations;
     seeded sample mean with standard error on shifts.
     """
-    kind = scheme.resolve(base)
-    if kind == "exact":
+    if isinstance(base, PeriodicOrbits):
         total = 0.0
         for j, (n, w) in enumerate(base.orbits):
             s = sum(observable(PeriodicPoint(j, p)) for p in range(n))
             total += w * s / n
         return total, 0.0
-    if kind == "birkhoff":
+    if isinstance(base, CircleRotation):
         n = max(2, scheme.n)
         x0 = rotation_start(scheme.seed)
         xs = base.orbit_array(x0, n)
@@ -428,7 +417,7 @@ def integrate(base: BaseSystem, observable: Callable[[BasePoint], float],
         full = float(np.mean(vals))
         half = float(np.mean(vals[: n // 2]))
         return full, abs(full - half)
-    # monte_carlo
+    # Bernoulli shift: seeded Monte Carlo
     m = max(1, scheme.samples)
     vals = np.empty(m)
     for i in range(m):

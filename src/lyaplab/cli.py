@@ -165,7 +165,7 @@ def _run_lyapunov(sc: dict, out: str | None):
     if method == "periodic_exact" or (method == "auto" and isinstance(base, PeriodicOrbits)):
         est = lyapunov_periodic_exact(c)
     else:
-        est = lyapunov_birkhoff(c, n=scheme.n, samples=sc.get("samples", 1),
+        est = lyapunov_birkhoff(c, n=scheme.n, samples=int(sc.get("samples", 1)),
                                 seed=scheme.seed)
     return {"value": est.value, "stderr": est.stderr, "method": est.method,
             "n": est.n, "samples": est.samples}
@@ -459,6 +459,9 @@ def main(argv=None) -> int:
         record, code = run_scenario(args.scenario, overrides)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except KeyError as exc:
+        print(f"schema error: scenario is missing the key {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NotUH, GapsStubborn, HyperbolicEnergyNotFound, DirectionsUnconverged,
             PreconditionFailed, OverflowError) as exc:

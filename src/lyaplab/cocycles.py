@@ -2,10 +2,12 @@
 Birkhoff products, by the exact periodic-orbit spectral radius, by the
 decreasing Hilbert-Schmidt sequence, and the rotation-average identity check.
 
-The scalar operations work for arbitrary fiber maps.  Families of Schrodinger
-entry potentials (and constant-left-factor matrix families) additionally have
-batched numpy kernels, shared with the regularized-functional module; both
-paths implement the same estimators.
+The estimators run on one batched numpy kernel, shared with the
+regularized-functional module: the base family alone picks the exact
+periodic, Birkhoff or Monte Carlo estimator (`_lane_estimates`).  The scalar
+`iterate_renormalized`, `lyapunov_birkhoff` and `lyapunov_periodic_exact`
+work for arbitrary fiber maps one step at a time; they stay as the
+independent oracle the tests compare the kernel with.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .bases import (BasePoint, BaseSystem, BernoulliShift, CircleRotation,
                     ShiftPoint, CirclePoint, check_attachment, combine,
                     constant_potential, integrate, potential_value,
                     rotation_start, symbols_from_stream, _sample_seed)
-from .projective import IDENTITY, Mat2, rotation
+from .projective import IDENTITY, Mat2
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,14 @@ class Cocycle:
     """A base system together with a fiber map x -> SL(2) matrix.
 
     `entry` records the Schrodinger structure (fiber [[entry(x), -1], [1, 0]])
-    when present; `left` records a constant left factor over `base_fiber`.
-    Both enable the batched kernels; the generic `fiber` is always valid.
+    when present, so the batched supports come from the potential's values;
+    the generic `fiber` is always valid.
     """
 
     base: BaseSystem
     fiber: Callable[[BasePoint], Mat2]
     real_flag: bool = True
     entry: Potential | None = None
-    base_fiber: Callable[[BasePoint], Mat2] | None = None
-    left: Mat2 | None = None
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,8 @@ def matrix_cocycle(base: BaseSystem, fiber: Callable[[BasePoint], Mat2],
 
 def left_multiplied_cocycle(c: Cocycle, left: Mat2) -> Cocycle:
     """Cocycle with fiber x -> left @ A(x)."""
-    inner = c.base_fiber if c.base_fiber is not None else c.fiber
-    eff_left = left if c.left is None else (left @ c.left)
     return Cocycle(base=c.base, fiber=lambda pt: left @ c.fiber(pt),
-                   real_flag=c.real_flag and left.is_real(),
-                   base_fiber=inner, left=eff_left)
-
-
-def right_rotated_cocycle(c: Cocycle, theta: float) -> Cocycle:
-    """Cocycle with fiber x -> A(x) @ R_theta (rotation by angle 2 pi theta)."""
-    r = rotation(theta)
-    return Cocycle(base=c.base, fiber=lambda pt: c.fiber(pt) @ r, real_flag=c.real_flag)
+                   real_flag=c.real_flag and left.is_real())
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +326,16 @@ class SchrodingerFamilyEvaluator:
     def __init__(self, base: BaseSystem, scheme: IntegrationScheme = IntegrationScheme()):
         self.base = base
         self.scheme = scheme
+        self.n = max(2, scheme.n)                  # orbit / window length (not periodic)
+        self.samples = max(2, scheme.samples)      # Monte Carlo samples (shifts only)
         if isinstance(base, PeriodicOrbits):
             self.kind = "periodic"
         elif isinstance(base, CircleRotation):
             self.kind = "birkhoff"
-            self.n = max(2, scheme.n)
             self.xs = base.orbit_array(rotation_start(scheme.seed), self.n)
         elif isinstance(base, BernoulliShift):
             self.kind = "monte_carlo"
-            self.n = max(2, scheme.n)
-            self.samples = max(2, scheme.samples)
-            self._window_len = self.n + scheme.window
-            self._draw_windows()
+            self._window_len = 0         # symbols are drawn on first use
         else:
             raise TypeError(type(base).__name__)
 
@@ -355,6 +344,18 @@ class SchrodingerFamilyEvaluator:
             symbols_from_stream(_sample_seed(self.scheme.seed, i), 0,
                                 self._window_len, self.base.cum_probs)
             for i in range(self.samples)])
+
+    def points(self) -> list:
+        """Base points of the support, laid out as `potential_support` lays
+        out values: one list per periodic orbit, the Birkhoff orbit, or one
+        list per Monte Carlo sample."""
+        if self.kind == "periodic":
+            return [[PeriodicPoint(j, p) for p in range(n)]
+                    for j, (n, _) in enumerate(self.base.orbits)]
+        if self.kind == "birkhoff":
+            return [CirclePoint(float(x)) for x in self.xs]
+        return [[ShiftPoint(_sample_seed(self.scheme.seed, i), k) for k in range(self.n)]
+                for i in range(self.samples)]
 
     def potential_support(self, pot: Potential) -> object:
         """Values of pot over the support (float64 when pot is real); combine
@@ -367,9 +368,9 @@ class SchrodingerFamilyEvaluator:
         if self.kind == "birkhoff":
             return _real_values(pot, pot.evaluate(self.xs))
         depth = pot.depth
-        if self.n + depth > self._window_len:
+        if depth and self.n + depth > self._window_len:
             # counter-mode symbols agree on prefixes, so longer windows are
-            # consistent extensions of the ones already drawn
+            # consistent extensions of any drawn before
             self._window_len = self.n + depth
             self._draw_windows()
         idx = np.zeros((self.samples, self.n), dtype=np.int64)
@@ -397,43 +398,53 @@ class SchrodingerFamilyEvaluator:
                                len(stacks[0]))
 
 
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """values as float64 when no imaginary part is set."""
+    return values if values.imag.any() else np.ascontiguousarray(values.real)
+
+
+def _entry_components(e: np.ndarray) -> tuple:
+    """Components of the [[e, -1], [1, 0]] factors (constants as broadcast views)."""
+    e = _narrowed(e)
+    return (e,) + tuple(np.broadcast_to(np.array(x, e.dtype), e.shape) for x in (-1.0, 1.0, 0.0))
+
+
+def _fiber_components(fiber, points: list) -> tuple:
+    """Components of fiber over a (nested) list of base points."""
+    def entries(p):
+        if isinstance(p, list):
+            return [entries(q) for q in p]
+        a = fiber(p)
+        return a.a11, a.a12, a.a21, a.a22
+
+    return tuple(np.moveaxis(_narrowed(np.array(entries(points), dtype=complex)), -1, 0))
+
+
 class MatrixFamilyEvaluator:
     """Batched Lyapunov exponents of x -> C_k @ A(x) for constant C_k.
 
-    `supports` holds the components of A over the support: one (n_j,) stack
-    per periodic orbit, the (n,) Birkhoff orbit, or the (samples, n) windows;
-    real when every A(x) is real.
+    The base dispatch (kind, n, samples and the support's points) is that
+    of `support_ev`, a SchrodingerFamilyEvaluator over the same base and
+    scheme.  `supports` holds the components of A over the support: one
+    (n_j,) stack per periodic orbit, the (n,) Birkhoff orbit, or the
+    (samples, n) windows; a stack is real when every A(x) on it is real.  A
+    cocycle with `entry` takes them from one `potential_support(entry)` call,
+    any other cocycle from one fiber call per point.
     """
 
     def __init__(self, cocycle: Cocycle, scheme: IntegrationScheme = IntegrationScheme()):
-        self.base = cocycle.base
-        self.scheme = scheme
-        fiber = cocycle.fiber
-
-        def mats_at(points) -> np.ndarray:
-            out = np.empty((len(points), 2, 2), dtype=complex)
-            for i, pt in enumerate(points):
-                a = fiber(pt)
-                out[i] = ((a.a11, a.a12), (a.a21, a.a22))
-            return out if out.imag.any() else np.ascontiguousarray(out.real)
-
-        if isinstance(self.base, PeriodicOrbits):
-            self.kind = "periodic"
-            self.orbit_mats = [mats_at([PeriodicPoint(j, p) for p in range(n)])
-                               for j, (n, _) in enumerate(self.base.orbits)]
-            self.supports = [_components(m) for m in self.orbit_mats]
-        elif isinstance(self.base, CircleRotation):
-            self.kind = "birkhoff"
-            self.n = max(2, scheme.n)
-            xs = self.base.orbit_array(rotation_start(scheme.seed), self.n)
-            self.supports = [_components(mats_at([CirclePoint(float(x)) for x in xs]))]
+        ev = self.support_ev = SchrodingerFamilyEvaluator(cocycle.base, scheme)
+        self.base, self.kind, self.n, self.samples = ev.base, ev.kind, ev.n, ev.samples
+        periodic = self.kind == "periodic"
+        if cocycle.entry is not None:
+            values = ev.potential_support(cocycle.entry)
+            self.supports = [_entry_components(e) for e in (values if periodic else [values])]
         else:
-            self.kind = "monte_carlo"
-            self.n = max(2, scheme.n)
-            self.samples = max(2, scheme.samples)
-            self.supports = [_components(np.stack([
-                mats_at([ShiftPoint(_sample_seed(scheme.seed, i), k) for k in range(self.n)])
-                for i in range(self.samples)]))]
+            points = ev.points()
+            self.supports = [_fiber_components(cocycle.fiber, p)
+                             for p in (points if periodic else [points])]
+        # one (n_j,) component per periodic orbit; perfbench/tracing.py reads the lengths
+        self.orbit_mats = [sup[0] for sup in self.supports]
 
     def lyapunov_batch(self, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         left = _components(np.asarray(left))
@@ -534,47 +545,41 @@ def lyapunov_fubini(c: Cocycle, max_doubling: int,
 
 
 def best_lyapunov(c: Cocycle, n: int = 4096, samples: int = 1, seed: int = 0) -> LyapunovEstimate:
-    """Exact on periodic bases, Birkhoff elsewhere.
+    """The identity lane of `MatrixFamilyEvaluator`: exact on periodic bases,
+    one Birkhoff orbit of length n with the N-vs-N/2 proxy on rotations
+    (`samples` is ignored there), and the mean over max(2, samples) seeded
+    windows on shifts, so the standard error is finite.
 
-    Rotations keep the single-orbit scheme regardless of `samples`; shifts
-    get at least two Monte Carlo samples so the standard error is finite.
+    The scalar `lyapunov_periodic_exact` and `lyapunov_birkhoff` compute
+    the same estimates one step at a time; they are its test oracle.
     """
-    if isinstance(c.base, PeriodicOrbits):
-        return lyapunov_periodic_exact(c)
-    if isinstance(c.base, BernoulliShift):
-        return lyapunov_birkhoff(c, n=n, samples=max(2, samples), seed=seed)
-    return lyapunov_birkhoff(c, n=n, samples=1, seed=seed)
+    ev = MatrixFamilyEvaluator(c, IntegrationScheme(n=n, samples=samples, seed=seed))
+    vals, errs = ev.lyapunov_batch(np.eye(2)[None])
+    if ev.kind == "periodic":
+        return LyapunovEstimate(value=float(vals[0]), stderr=0.0, method="periodic_exact")
+    return LyapunovEstimate(value=float(vals[0]), stderr=float(errs[0]), method="birkhoff",
+                            n=ev.n, samples=ev.samples if ev.kind == "monte_carlo" else 1)
 
 
 def ab_average_check(c: Cocycle, theta_nodes: int = 4096,
                      scheme: IntegrationScheme = IntegrationScheme()) -> tuple[float, float]:
     """(theta-average of L(A R_theta), integral of log((||A|| + ||A||^{-1})/2)).
 
-    The rotation average uses the midpoint rule over theta_nodes; each L is
-    exact on periodic bases and Birkhoff otherwise.  The caller asserts the
-    identity of the two returns within combined errors.
+    The rotation average uses the midpoint rule over theta_nodes, one lane
+    of `MatrixFamilyEvaluator` per node with R_theta as its left factor:
+    (R A)_n = R (A R)_n R^{-1}, and the estimators are invariant under
+    rotation conjugation, so L(R_theta A) = L(A R_theta).  The caller
+    asserts the identity of the two returns within combined errors.
     """
     if theta_nodes < 16:
         raise ValueError("need theta_nodes >= 16")
     if not c.real_flag:
         raise ValueError("the rotation-average identity is for real cocycles")
-    thetas = (np.arange(theta_nodes) + 0.5) / theta_nodes
-    if isinstance(c.base, PeriodicOrbits):
-        # one lane per theta, with factors A(x) R_theta
-        ang = 2.0 * math.pi * thetas[:, None]
-        cos, sin = np.cos(ang), np.sin(ang)
-        ev = MatrixFamilyEvaluator(c, scheme)
-        vals, _ = _lane_estimates(
-            ev, _product,
-            lambda ls, ss: [_matmul(sup, (cos[ls], sin[ls], -sin[ls], cos[ls]))
-                            for sup in ev.supports],
-            theta_nodes)
-        lhs = float(vals.mean())
-    else:
-        lhs_vals = [lyapunov_birkhoff(right_rotated_cocycle(c, float(t)),
-                                      n=scheme.n, seed=scheme.seed).value
-                    for t in thetas]
-        lhs = float(np.mean(lhs_vals))
+    ang = 2.0 * math.pi * ((np.arange(theta_nodes) + 0.5) / theta_nodes)
+    cos, sin = np.cos(ang), np.sin(ang)
+    rotations = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)
+    vals, _ = MatrixFamilyEvaluator(c, scheme).lyapunov_batch(rotations)
+    lhs = float(vals.mean())
 
     def obs(pt):
         nrm = c.fiber(pt).opnorm()

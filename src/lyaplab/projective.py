@@ -231,24 +231,3 @@ def exp_sl2(b: Sl2Element, s: complex = 1.0) -> Mat2:
     ch, sc = _cosh_sinhc(delta)
     sb1, sb2, sb3 = s * b.b1, s * b.b2, s * b.b3
     return Mat2(ch + sc * sb1, sc * sb2, sc * sb3, ch - sc * sb1)
-
-
-def ln_spectral_radius(trace: complex, det: complex = 1.0, real_elliptic_snap: bool = True) -> float:
-    """log of the larger eigenvalue modulus of a 2x2 matrix with given trace/det.
-
-    For a unimodular real matrix with |trace| <= 2 (elliptic/parabolic) the
-    result is exactly 0.  Roundoff can otherwise produce tiny negative values
-    for |det| = 1; those are clamped to 0.
-    """
-    tr = complex(trace)
-    dt = complex(det)
-    if (real_elliptic_snap and abs(tr.imag) <= 1e-13 * (1.0 + abs(tr))
-            and abs(dt - 1.0) <= 1e-9 and abs(tr.real) <= 2.0):
-        return 0.0
-    disc = cmath.sqrt(tr * tr - 4.0 * dt)
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
-    rho = max(abs(lam1), abs(lam2))
-    if rho <= 0.0:
-        return 0.0
-    return max(math.log(rho), 0.0)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,21 +76,20 @@ def cmap_phi_inv(z: complex) -> complex:
     return -(z - 1j) / (z + 1j)
 
 
-def cmap_psi(z: complex) -> complex:
+def cmap_psi(z):
     """Disk -> (disk intersect upper half plane); psi(0) = (sqrt(2)-1) i.
+    Elementwise on arrays; a scalar gives a complex.
 
     The square root must take values in the closed upper half plane; tiny
     negative imaginary parts (including -0.0) produced by roundoff on the
     boundary circle are clamped before the principal branch is applied.
     """
-    r = cmap_phi(z)
-    if r.imag <= 0.0 and r.imag >= -1e-9 * (1.0 + abs(r)):
-        r = complex(r.real, 0.0)
-    return cmap_phi_inv(cmath.sqrt(r))
-
-
-def _psi_nodes(thetas: np.ndarray) -> np.ndarray:
-    return np.array([cmap_psi(cmath.exp(2j * math.pi * t)) for t in thetas])
+    z = np.asarray(z, dtype=complex)
+    r = 1j * (1.0 - z) / (1.0 + z)
+    clamp = (r.imag <= 0.0) & (r.imag >= -1e-9 * (1.0 + np.abs(r)))
+    w = np.sqrt(np.where(clamp, r.real + 0j, r))
+    out = -(w - 1j) / (w + 1j)
+    return out if out.ndim else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def _arc_quadrature(machine: _PhiMachine, lo: float, hi: float, tol: float,
     def integrand(us):
         thetas = lo + span * 0.5 * (1.0 - np.cos(math.pi * us))
         jac = span * 0.5 * math.pi * np.sin(math.pi * us)
-        zs = _psi_nodes(thetas)
+        zs = cmap_psi(np.exp(2j * math.pi * thetas))
         if check_uh:
             worst = machine.min_imag_entry(zs)
             if np.any(worst <= 0.0):
@@ -411,7 +410,7 @@ class GeneralFamilyEvaluator:
         self.epsilon = float(epsilon)
         self.mat_ev = MatrixFamilyEvaluator(cocycle, scheme)
         self.kind = self.mat_ev.kind
-        sup_ev = SchrodingerFamilyEvaluator(base, scheme)
+        sup_ev = self.mat_ev.support_ev
         b_sup = [sup_ev.potential_support(p) for p in (b.p1, b.p2, b.p3)]
         a_sup = [sup_ev.potential_support(p) for p in (a.p1, a.p2, a.p3)]
         # (b, a) component supports aligned with mat_ev.supports

@@ -11,18 +11,20 @@ Every found report is re-verified at doubled length with a fresh seed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bases import (BaseSystem, CircleRotation, IntegrationScheme, PeriodicOrbits,
                     Potential, TrigPolynomial, combine, constant_potential,
-                    uniform_stream)
+                    potential_to_json, uniform_stream)
 from .cocycles import (Cocycle, LyapunovEstimate, SchrodingerFamilyEvaluator,
-                       best_lyapunov, schrodinger_cocycle)
+                       best_lyapunov, schrodinger_cocycle, schrodinger_entry_cocycle)
 from .projective import ROTATION_GENERATOR, Sl2Element
 from .regularize import (BALL_EXPONENT, DEFAULT_ETA_GEN, GeneralFamilyEvaluator,
-                         PhiQuery, Sl2Field, phi, sup_upper_bound)
+                         PhiQuery, Sl2Field, constant_sl2_field, phi, phi_general,
+                         sup_upper_bound)
 
 EXACT_FLOOR = 1e-10      # positivity floor where the evaluation is exact
 
@@ -42,7 +44,6 @@ class SearchReport:
     reason: str = ""
 
     def to_json(self) -> dict:
-        from .bases import potential_to_json
         return {
             "found": self.found,
             "perturbation_norm": self.perturbation_norm,
@@ -102,7 +103,6 @@ def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
         return SearchReport(found=False, v2=None, perturbation_norm=0.0,
                             lyapunov_at_result=None, reason="empty search region (delta <= 0)")
     if isinstance(base, CircleRotation) and base.alpha_rational_flag:
-        import warnings
         warnings.warn("rotation number is rational within tolerance: the density "
                       "statements need a non-periodic base")
     if basis is None:
@@ -246,7 +246,6 @@ def default_sl2_basis(base: BaseSystem, degree: int = 4) -> list[Sl2Field]:
                 out.append(Sl2Field(tr, zero, zero))
                 out.append(Sl2Field(zero, tr, tr))
     else:
-        from .regularize import constant_sl2_field
         out = [constant_sl2_field(base, g) for g in gens]
     return out
 
@@ -266,7 +265,6 @@ def search_positive_general(cocycle: Cocycle, delta: float,
                             reason="empty search region (delta or budget <= 0)")
     base = cocycle.base
     if isinstance(base, CircleRotation) and base.alpha_rational_flag:
-        import warnings
         warnings.warn("rotation number is rational within tolerance: the density "
                       "statements need a non-periodic base")
     if scheme is None:
@@ -285,7 +283,6 @@ def search_positive_general(cocycle: Cocycle, delta: float,
     evals_used = [0]
 
     def detector(a_field: Sl2Field, s: float) -> tuple[float, float]:
-        from .regularize import phi_general
         evals_used[0] += 1
         return phi_general(cocycle, b, a_field, epsilon, quad_tol=quad_tol,
                            scheme=scheme, eta_gen=eta_gen, s=s, max_panels=96)
@@ -369,7 +366,7 @@ def quantita_scan(base: BaseSystem, v: Potential, w: Potential, epsilon: float,
     s1 = ev.potential_support(one)
 
     entry0 = combine([(-1.0, v), (-epsilon, w)])
-    est0 = best_lyapunov(_entry_cocycle(base, entry0), n=scheme.n,
+    est0 = best_lyapunov(schrodinger_entry_cocycle(base, entry0), n=scheme.n,
                          samples=scheme.samples, seed=scheme.seed)
     if not _positive(est0):
         raise PreconditionFailed(
@@ -386,8 +383,3 @@ def quantita_scan(base: BaseSystem, v: Potential, w: Potential, epsilon: float,
         success[i] = bool(np.any((vals > 3.0 * errs) & (vals > EXACT_FLOOR)))
     return QuantitaScan(fraction=float(success.mean()), t_grid=t_grid,
                         e_grid=e_grid, success_t=success, exponents=exponents)
-
-
-def _entry_cocycle(base, entry):
-    from .cocycles import schrodinger_entry_cocycle
-    return schrodinger_entry_cocycle(base, entry)

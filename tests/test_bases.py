@@ -149,11 +149,6 @@ class TestIntegration:
                              IntegrationScheme(samples=4096, seed=7))
         assert abs(val - 0.5) < 3 * err
 
-    def test_scheme_mismatch(self):
-        with pytest.raises(FamilyMismatch):
-            integrate(CircleRotation(GOLDEN), lambda pt: 1.0,
-                      IntegrationScheme(method="exact"))
-
     def test_monte_carlo_reproducible(self):
         base = BernoulliShift(3, (0.2, 0.3, 0.5))
         obs = lambda pt: float(base.window(pt, 2).sum())

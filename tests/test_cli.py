@@ -56,6 +56,27 @@ class TestScenarioValidation:
         code = main(["lyapunov", "--scenario", str(tmp_path / "nope.json")])
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("sc", [
+        {"operation": "bands", "params": {}},
+        {"operation": "search",
+         "base": {"family": "circle_rotation", "alpha": 0.6180339887498949},
+         "params": {"energy": 0.0, "delta": 0.5}},
+        {"operation": "lyapunov", "base": {"family": "circle_rotation"},
+         "cocycle": {"kind": "rotation", "theta": 0.1}},
+    ], ids=["bands_without_values", "search_without_v1", "rotation_without_alpha"])
+    def test_missing_key_exits_2(self, tmp_path, capsys, sc):
+        path = write(tmp_path, "s.json", {"schema": "lyaplab/scenario/v1", **sc})
+        assert main([sc["operation"], "--scenario", path]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
+
+    def test_string_samples_read_as_int(self, tmp_path, capsys):
+        sc = lyap_scenario(base={"family": "circle_rotation", "alpha": 0.6180339887498949},
+                           cocycle={"kind": "rotation", "theta": 0.1},
+                           params={"method": "birkhoff"}, n=64, samples="4")
+        path = write(tmp_path, "s.json", sc)
+        assert main(["lyapunov", "--scenario", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["samples"] == 4
+
 
 class TestRunRecords:
     def test_lyapunov_value(self, tmp_path):

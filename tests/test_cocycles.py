@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from lyaplab.bases import (BernoulliShift, CircleRotation, CylinderTable,
                            IntegrationScheme, PeriodicOrbits, PeriodicPoint,
                            PeriodicTable, TrigPolynomial, constant_potential,
-                           uniform_stream)
+                           integrate, uniform_stream)
 from lyaplab import cocycles
 from lyaplab.cocycles import (MatrixFamilyEvaluator, SchrodingerFamilyEvaluator,
                               _blocks, _first_half_and_full, _product, _schrodinger_product,
-                              ab_average_check, constant_cocycle, direct_product,
-                              iterate_renormalized, left_multiplied_cocycle,
-                              lyapunov_birkhoff, lyapunov_fubini,
-                              lyapunov_periodic_exact, matrix_cocycle,
-                              right_rotated_cocycle, schrodinger_cocycle,
+                              ab_average_check, best_lyapunov, constant_cocycle,
+                              direct_product, iterate_renormalized,
+                              left_multiplied_cocycle, lyapunov_birkhoff,
+                              lyapunov_fubini, lyapunov_periodic_exact,
+                              matrix_cocycle, schrodinger_cocycle,
                               schrodinger_entry_cocycle)
 from lyaplab.projective import Mat2, Sl2Element, exp_sl2, rotation
 
@@ -340,15 +340,98 @@ def test_blocked_evaluators_match_one_block(kind, monkeypatch):
         assert sizes and max(sizes) <= max(budget, scheme.n)
 
 
-def test_right_rotated_cocycle_matches_manual_product():
-    base = PeriodicOrbits(((2, 1.0),))
-    c = schrodinger_cocycle(base, PeriodicTable(((0.4, -1.1),)), 0.7)
-    theta = 0.2173
-    rot_c = right_rotated_cocycle(c, theta)
-    manual = direct_product(rot_c, PeriodicPoint(0, 0), 2)
-    r = rotation(theta)
-    want = (c.fiber(PeriodicPoint(0, 1)) @ r) @ (c.fiber(PeriodicPoint(0, 0)) @ r)
-    assert abs(manual.trace() - want.trace()) < 1e-14
+# one base per family; the periodic table is real on its first orbit only
+# under the complex energy, and the cylinder table has depth 2
+ORACLE_BASES = {
+    "periodic": (PeriodicOrbits(((3, 0.5), (2, 0.5))),
+                 PeriodicTable(((0.4, -0.9, 1.3), (0.2, -0.5)))),
+    "rotation": (CircleRotation(GOLDEN), TrigPolynomial(const=0.3, cos=(1.2, -0.4), sin=(0.55,))),
+    "shift": (BernoulliShift(2, (0.4, 0.6)), CylinderTable(2, 2, (0.5, -0.5, 1.1, -0.2))),
+}
+BOOST = exp_sl2(Sl2Element(0.3, 0.2, -0.5))
+
+
+def _oracle_cocycles(base, pot):
+    """Schrodinger (elliptic, hyperbolic, complex), constant (elliptic and
+    hyperbolic) and an x-dependent matrix_cocycle over base."""
+    sch = schrodinger_cocycle(base, pot, 0.9)
+    return ([schrodinger_cocycle(base, pot, e) for e in (0.3, 3.5, 0.7 + 0.4j)]
+            + [constant_cocycle(base, rotation(0.137)), constant_cocycle(base, BOOST),
+               matrix_cocycle(base, lambda pt: BOOST @ sch.fiber(pt) @ rotation(0.2))])
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_BASES))
+def test_best_lyapunov_matches_scalar_oracle(kind):
+    base, pot = ORACLE_BASES[kind]
+    n, samples, seed = 512, 6, 3
+    for c in _oracle_cocycles(base, pot):
+        got = best_lyapunov(c, n=n, samples=samples, seed=seed)
+        if kind == "periodic":
+            want = lyapunov_periodic_exact(c)
+        else:
+            want = lyapunov_birkhoff(c, n, samples=samples if kind == "shift" else 1, seed=seed)
+        assert (got.method, got.n, got.samples) == (want.method, want.n, want.samples)
+        assert abs(got.value - want.value) <= 1e-12
+        assert abs(got.stderr - want.stderr) <= 1e-12
+
+
+def test_best_lyapunov_real_elliptic_orbits_are_exactly_zero():
+    base, pot = ORACLE_BASES["periodic"]
+    rot = constant_cocycle(base, rotation(0.137))
+    assert best_lyapunov(rot).value == 0.0 == lyapunov_periodic_exact(rot).value
+    # at E = 0.3 the period-3 table is elliptic: exactly 0, whatever the product order
+    base3 = PeriodicOrbits(((3, 1.0),))
+    c3 = schrodinger_cocycle(base3, PeriodicTable((pot.tables[0],)), 0.3)
+    assert best_lyapunov(c3).value == 0.0 == lyapunov_periodic_exact(c3).value
+    # the complex energy leaves no orbit real, so nothing snaps
+    cz = schrodinger_cocycle(base3, PeriodicTable((pot.tables[0],)), 0.3 + 1e-3j)
+    assert best_lyapunov(cz).value > 0.0
+
+
+@pytest.mark.parametrize("kind", ["rotation", "shift"])
+def test_ab_average_check_matches_per_theta_oracle(kind):
+    """Left factors R_theta on the evaluator against the scalar exponent of
+    x -> A(x) R_theta, one theta at a time."""
+    base, pot = ORACLE_BASES[kind]
+    c = schrodinger_cocycle(base, pot, 0.9)
+    scheme = IntegrationScheme(n=256, samples=6, seed=5)
+    nodes = 16
+    lhs, rhs = ab_average_check(c, theta_nodes=nodes, scheme=scheme)
+    per_theta = [lyapunov_birkhoff(matrix_cocycle(base, lambda pt, r=rotation(t): c.fiber(pt) @ r),
+                                   scheme.n, samples=scheme.samples if kind == "shift" else 1,
+                                   seed=scheme.seed).value
+                 for t in (np.arange(nodes) + 0.5) / nodes]
+    assert abs(lhs - float(np.mean(per_theta))) <= 1e-12
+    want_rhs, _ = integrate(base, lambda pt: math.log(0.5 * (c.fiber(pt).opnorm()
+                                                             + 1.0 / c.fiber(pt).opnorm())),
+                            scheme)
+    assert rhs == want_rhs
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_BASES))
+@pytest.mark.parametrize("energy", [0.9, 0.9 + 0.2j])
+def test_entry_support_matches_fiber_support(kind, energy):
+    """MatrixFamilyEvaluator builds a Schrodinger support from one
+    potential_support(entry) call; it equals the per-point fiber support bit
+    for bit, dtype included, and so do the estimates."""
+    base, pot = ORACLE_BASES[kind]
+    if kind == "periodic":
+        # complex on the second orbit only: realness is decided per orbit
+        pot = PeriodicTable((pot.tables[0], (0.2 + 0.1j, -0.5)))
+    c = schrodinger_cocycle(base, pot, energy)
+    scheme = IntegrationScheme(n=64, samples=5, seed=2)
+    by_entry = MatrixFamilyEvaluator(c, scheme)
+    by_fiber = MatrixFamilyEvaluator(matrix_cocycle(base, c.fiber, c.real_flag), scheme)
+    assert len(by_entry.supports) == len(by_fiber.supports)
+    for se, sf in zip(by_entry.supports, by_fiber.supports):
+        for xe, xf in zip(se, sf):
+            assert xe.dtype == xf.dtype and xe.shape == xf.shape and np.array_equal(xe, xf)
+    if kind == "periodic":
+        assert [s[0].dtype.kind for s in by_entry.supports] == (
+            ["f", "c"] if energy.imag == 0.0 else ["c", "c"])
+    left = np.stack([np.eye(2), [[1.1, 0.3], [0.0, 1 / 1.1]]])
+    for got, want in zip(by_entry.lyapunov_batch(left), by_fiber.lyapunov_batch(left)):
+        assert np.array_equal(got, want)
 
 
 def test_fiber_unimodular_at_seeded_probes():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lyaplab.projective import (DIR_INF, DIR_ZERO, HEMISPHERE_CENTER,
                                 HEMISPHERE_RADIUS, IDENTITY, Mat2, ProjPoint,
                                 ROTATION_GENERATOR, Sl2Element, chart,
-                                expansion_coeff, exp_sl2, ln_spectral_radius,
-                                mobius_act, spherical_dist)
+                                expansion_coeff, exp_sl2, mobius_act,
+                                spherical_dist)
 
 
 def random_sl2(rng) -> Mat2:
@@ -236,17 +236,3 @@ def test_hemisphere_radius_is_distance_to_real_directions():
         d = spherical_dist(HEMISPHERE_CENTER, real_dir)
         assert abs(d - HEMISPHERE_RADIUS) < 1e-12
     assert abs(HEMISPHERE_RADIUS - 2.0 ** -0.5) < 1e-15
-
-
-class TestLnSpectralRadius:
-    def test_real_elliptic_snaps_to_zero(self):
-        assert ln_spectral_radius(1.3) == 0.0
-        assert ln_spectral_radius(2.0) == 0.0
-
-    def test_hyperbolic_closed_form(self):
-        assert abs(ln_spectral_radius(3.0) - math.log((3 + math.sqrt(5)) / 2)) < 1e-15
-
-    def test_complex_trace(self):
-        # eigenvalue moduli of [[-1j, -1], [1, 0]]: golden ratio pair
-        got = ln_spectral_radius(-1j)
-        assert abs(got - math.log((1 + math.sqrt(5)) / 2)) < 1e-15

@@ -71,6 +71,21 @@ class TestConformalMaps:
             assert abs(w) <= 1.0 + 1e-12
             assert w.imag >= -1e-12
 
+    def test_psi_on_arrays_matches_cmath_reference(self):
+        def reference(z):
+            r = cmap_phi(z)
+            if r.imag <= 0.0 and r.imag >= -1e-9 * (1.0 + abs(r)):
+                r = complex(r.real, 0.0)
+            return cmap_phi_inv(cmath.sqrt(r))
+
+        u = uniform_stream(5, 0, 400)
+        zs = np.concatenate([np.exp(2j * math.pi * (np.arange(2000) + 0.5) / 2000),
+                             0.9 * (2 * u[:200] - 1) + 0.4j * (2 * u[200:] - 1)])
+        got = cmap_psi(zs.reshape(2, -1))
+        assert got.shape == (2, 1100)
+        assert np.max(np.abs(got.ravel() - [reference(z) for z in zs])) <= 1e-15
+        assert isinstance(cmap_psi(0.5j), complex)
+
     def test_psi_lower_arc_is_real_segment(self):
         for theta in (0.51, 0.7, 0.93):
             w = cmap_psi(cmath.exp(2j * math.pi * theta))
