@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 from .bases import (BernoulliShift, CircleRotation, CylinderTable,
                     IntegrationScheme, PeriodicOrbits, PeriodicTable,
                     TrigPolynomial, combine, constant_potential, integrate)
-from .cocycles import (Cocycle, LyapunovEstimate, ab_average_check,
+from .cocycles import (Cocycle, LyapunovEstimate, ab_average_check, best_lyapunov,
                        constant_cocycle, iterate_renormalized, lyapunov_birkhoff,
                        lyapunov_fubini, lyapunov_periodic_exact, matrix_cocycle,
                        schrodinger_cocycle, schrodinger_entry_cocycle)

@@ -21,7 +21,7 @@ from . import bases, conefield
 from .bases import (CircleRotation, PeriodicOrbits, PeriodicTable,
                     TrigPolynomial, combine, constant_potential,
                     uniform_stream)
-from .cocycles import (ab_average_check, constant_cocycle, lyapunov_birkhoff,
+from .cocycles import (ab_average_check, best_lyapunov, constant_cocycle,
                        lyapunov_periodic_exact, schrodinger_cocycle,
                        schrodinger_entry_cocycle)
 from .conefield import certify_uh, harmonicity_probe, hemisphere_cone, lyapunov_uh_exact
@@ -78,12 +78,12 @@ def criterion_2_rotation_average() -> dict:
 
 def criterion_3_constant_exponents() -> dict:
     rot = constant_cocycle(PERIOD1, rotation(0.1372))
-    l_rot = lyapunov_birkhoff(rot, 10_000).value
+    l_rot = best_lyapunov(rot, 10_000).value
     gold = CircleRotation(GOLDEN)
     c3 = schrodinger_cocycle(gold, constant_potential(gold, 0.0), 3.0)
-    l_birk = lyapunov_birkhoff(c3, 10_000, seed=0).value
+    l_birk = best_lyapunov(c3, 10_000, seed=0).value
     c3p = schrodinger_cocycle(PERIOD1, constant_potential(PERIOD1, 0.0), 3.0)
-    l_exact = lyapunov_periodic_exact(c3p).value
+    l_exact = best_lyapunov(c3p).value
     ok = (abs(l_rot) <= 1e-6 and abs(l_birk - LN_GOLDEN_E3) <= 1e-3
           and abs(l_exact - LN_GOLDEN_E3) <= 1e-12)
     return {"passed": bool(ok),
@@ -282,7 +282,7 @@ def criterion_13_determinism() -> dict:
     def snapshot() -> str:
         gold = CircleRotation(GOLDEN)
         c3 = schrodinger_cocycle(gold, constant_potential(gold, 0.0), 3.0)
-        est = lyapunov_birkhoff(c3, 4096, seed=7)
+        est = best_lyapunov(c3, 4096, seed=7)
         q = _seeded_phi_query(3, -3.0, 3.0, 0.3, 0.2)
         pa = phi(q)
         pb = phi_boundary(q)
@@ -292,7 +292,7 @@ def criterion_13_determinism() -> dict:
                              QUANTITA_INSTANCE["epsilon"], t_nodes=16, e_nodes=64)
         sh = bases.BernoulliShift(2, (0.5, 0.5))
         csh = schrodinger_cocycle(sh, bases.CylinderTable(2, 1, (0.3, -0.3)), 0.4)
-        mc = lyapunov_birkhoff(csh, 256, samples=64, seed=11)
+        mc = best_lyapunov(csh, 256, samples=64, seed=11)
         blob = {
             "birkhoff": [est.value, est.stderr],
             "phi": [pa.value, pa.quad_error],

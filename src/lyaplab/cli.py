@@ -18,11 +18,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .bases import (BaseSystem, IntegrationScheme, PeriodicOrbits, Potential,
-                    _num_from_json, base_from_json, potential_from_json)
-from .cocycles import (Cocycle, ab_average_check, constant_cocycle,
-                       lyapunov_birkhoff, lyapunov_fubini, lyapunov_periodic_exact,
-                       schrodinger_cocycle, schrodinger_entry_cocycle)
+from .bases import (BaseSystem, FamilyMismatch, IntegrationScheme, PeriodicOrbits,
+                    Potential, _num_from_json, base_from_json, potential_from_json)
+from .cocycles import (Cocycle, ab_average_check, best_lyapunov, constant_cocycle,
+                       lyapunov_fubini, schrodinger_cocycle, schrodinger_entry_cocycle)
 from .conefield import (ConeField, DirectionsUnconverged, UHCertificate,
                         certify_uh, hemisphere_cone)
 from .projective import Mat2, ProjPoint, Sl2Element, rotation
@@ -153,6 +152,10 @@ def _run_lyapunov(sc: dict, out: str | None):
                                 _num_from_json(p.get("energy", 0.0)))
     scheme = _scheme_from(sc)
     method = p.get("method", "auto")
+    picked = "periodic_exact" if isinstance(base, PeriodicOrbits) else "birkhoff"
+    if method not in ("auto", "fubini", picked):
+        raise SchemaError(f"method {method!r} is not 'auto', 'fubini' or {picked!r}, "
+                          "the estimator this base picks")
     if method == "fubini":
         seq = lyapunov_fubini(c, int(p.get("max_doubling", 8)), scheme)
         results = {"method": "fubini", "sequence": seq}
@@ -162,11 +165,7 @@ def _run_lyapunov(sc: dict, out: str | None):
                                title="doubling upper bounds", xlabel="doublings",
                                ylabel="bound")
         return results
-    if method == "periodic_exact" or (method == "auto" and isinstance(base, PeriodicOrbits)):
-        est = lyapunov_periodic_exact(c)
-    else:
-        est = lyapunov_birkhoff(c, n=scheme.n, samples=int(sc.get("samples", 1)),
-                                seed=scheme.seed)
+    est = best_lyapunov(c, n=scheme.n, samples=scheme.samples, seed=scheme.seed)
     return {"value": est.value, "stderr": est.stderr, "method": est.method,
             "n": est.n, "samples": est.samples}
 
@@ -457,7 +456,7 @@ def main(argv=None) -> int:
     overrides = {k: getattr(args, k) for k in ("seed", "samples", "n", "tol", "out")}
     try:
         record, code = run_scenario(args.scenario, overrides)
-    except SchemaError as exc:
+    except (SchemaError, FamilyMismatch) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except KeyError as exc:

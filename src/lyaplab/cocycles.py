@@ -1,19 +1,19 @@
-"""Cocycle construction and iteration; Lyapunov exponents by renormalized
-Birkhoff products, by the exact periodic-orbit spectral radius, by the
-decreasing Hilbert-Schmidt sequence, and the rotation-average identity check.
+"""Cocycle construction; Lyapunov exponents (exact on periodic orbits,
+Birkhoff on rotations, Monte Carlo on shifts), the decreasing
+Hilbert-Schmidt sequence, and the rotation-average identity check.
 
-The estimators run on one batched numpy kernel, shared with the
-regularized-functional module: the base family alone picks the exact
-periodic, Birkhoff or Monte Carlo estimator (`_lane_estimates`).  The scalar
-`iterate_renormalized`, `lyapunov_birkhoff` and `lyapunov_periodic_exact`
-work for arbitrary fiber maps one step at a time; they stay as the
-independent oracle the tests compare the kernel with.
+Every library estimator runs on one batched numpy kernel, shared with the
+regularized-functional module; the base family alone picks the estimator
+(`_lane_estimates`).  The scalar `iterate_renormalized`, `direct_product`,
+`lyapunov_birkhoff` and `lyapunov_periodic_exact` work one step at a time:
+they are the tests' independent oracle, and three acceptance criteria
+cross-check with `lyapunov_periodic_exact`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,6 @@ class Cocycle:
 
     base: BaseSystem
     fiber: Callable[[BasePoint], Mat2]
-    real_flag: bool = True
     entry: Potential | None = None
 
 
@@ -45,7 +44,7 @@ class Cocycle:
 class LyapunovEstimate:
     value: float
     stderr: float
-    method: str           # birkhoff | periodic_exact | uh_exact | fubini
+    method: str           # birkhoff | periodic_exact | uh_exact
     n: int = 0
     samples: int = 1
 
@@ -58,7 +57,7 @@ def schrodinger_entry_cocycle(base: BaseSystem, entry: Potential) -> Cocycle:
     def fiber(pt: BasePoint) -> Mat2:
         return Mat2(potential_value(entry, base, pt), -1.0, 1.0, 0.0)
 
-    return Cocycle(base=base, fiber=fiber, real_flag=entry.is_real(), entry=entry)
+    return Cocycle(base=base, fiber=fiber, entry=entry)
 
 
 def schrodinger_cocycle(base: BaseSystem, potential: Potential, energy: complex) -> Cocycle:
@@ -68,18 +67,16 @@ def schrodinger_cocycle(base: BaseSystem, potential: Potential, energy: complex)
 
 
 def constant_cocycle(base: BaseSystem, m: Mat2) -> Cocycle:
-    return Cocycle(base=base, fiber=lambda pt: m, real_flag=m.is_real())
+    return Cocycle(base=base, fiber=lambda pt: m)
 
 
-def matrix_cocycle(base: BaseSystem, fiber: Callable[[BasePoint], Mat2],
-                   real_flag: bool = True) -> Cocycle:
-    return Cocycle(base=base, fiber=fiber, real_flag=real_flag)
+def matrix_cocycle(base: BaseSystem, fiber: Callable[[BasePoint], Mat2]) -> Cocycle:
+    return Cocycle(base=base, fiber=fiber)
 
 
 def left_multiplied_cocycle(c: Cocycle, left: Mat2) -> Cocycle:
     """Cocycle with fiber x -> left @ A(x)."""
-    return Cocycle(base=c.base, fiber=lambda pt: left @ c.fiber(pt),
-                   real_flag=c.real_flag and left.is_real())
+    return Cocycle(base=c.base, fiber=lambda pt: left @ c.fiber(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +229,12 @@ def schrodinger_trace(entries: np.ndarray) -> np.ndarray:
     a, _, _, d, logscale = _schrodinger_product(entries)
     with np.errstate(over="ignore"):
         return (a + d) * np.exp(logscale)
+
+
+def _log_hs(m) -> np.ndarray:
+    """log of the Hilbert-Schmidt norm of a renormalized matrix."""
+    a, b, c, d, logscale = m
+    return logscale + 0.5 * np.log(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
 
 
 def _log_opnorm(m) -> np.ndarray:
@@ -530,18 +533,43 @@ def lyapunov_fubini(c: Cocycle, max_doubling: int,
     """[ (1/2^m) integral log ||A_{2^m}||_HS d-mu ]_{m=0..max_doubling}.
 
     Non-increasing within integration error; every term upper-bounds L.
+    Points and weights are those of `bases.integrate`.  Over the
+    `MatrixFamilyEvaluator` support (orbits tiled cyclically, the Birkhoff
+    orbit extended by 2^max_doubling - 1 points, shift windows in
+    `_blocks`), level m is P_m[i] = P_{m-1}[i + h] @ P_{m-1}[i], the
+    association `_tree_reduce` gives a window of 2^m factors: h = 2^(m-1)
+    keeps every window, and h = 1 on every second entry keeps the disjoint
+    ones, enough on shifts, where only the window at offset 0 counts.
     """
-    if max_doubling > 20:
-        raise ValueError("max_doubling must be <= 20")
-    out = []
-    for m in range(max_doubling + 1):
-        length = 2 ** m
-        def obs(pt, length=length):
-            _, acc = iterate_renormalized(c, pt, length)
-            return acc / length
-        val, _ = integrate(c.base, obs, scheme)
-        out.append(val)
-    return out
+    if not 0 <= max_doubling <= 20:
+        raise ValueError("max_doubling must lie in 0..20")
+    length = 2 ** max_doubling
+    base = c.base
+    shift = isinstance(base, BernoulliShift)
+    if shift:
+        samples = max(1, scheme.samples)
+        (sup,) = MatrixFamilyEvaluator(c, replace(scheme, n=length)).supports
+        groups = [(tuple(x[:samples][ss, :length] for x in sup), 1, 1.0 / samples)
+                  for _, ss in _blocks(1, samples, length)]
+    elif isinstance(base, PeriodicOrbits):
+        groups = [(tuple(x[np.arange(nj + length - 1) % nj] for x in sup), nj, w / nj)
+                  for sup, (nj, w) in zip(MatrixFamilyEvaluator(c, scheme).supports,
+                                          base.orbits)]
+    else:
+        points = max(2, scheme.n)
+        (sup,) = MatrixFamilyEvaluator(c, replace(scheme, n=points + length - 1)).supports
+        groups = [(sup, points, 1.0 / points)]
+    out = np.zeros(max_doubling + 1)
+    for sup, points, w in groups:
+        level = sup + (np.zeros(sup[0].shape),)
+        for m in range(max_doubling + 1):
+            if m:
+                h, step = (1, 2) if shift else (2 ** (m - 1), 1)
+                n = level[0].shape[-1]
+                level = _join(tuple(x[..., h::step] for x in level),
+                              tuple(x[..., :n - h:step] for x in level))
+            out[m] += w * np.sum(_log_hs(level)[..., :points]) / 2 ** m
+    return [float(v) for v in out]
 
 
 def best_lyapunov(c: Cocycle, n: int = 4096, samples: int = 1, seed: int = 0) -> LyapunovEstimate:
@@ -569,16 +597,18 @@ def ab_average_check(c: Cocycle, theta_nodes: int = 4096,
     of `MatrixFamilyEvaluator` per node with R_theta as its left factor:
     (R A)_n = R (A R)_n R^{-1}, and the estimators are invariant under
     rotation conjugation, so L(R_theta A) = L(A R_theta).  The caller
-    asserts the identity of the two returns within combined errors.
+    asserts the identity of the two returns within combined errors.  The
+    cocycle must be real on the evaluator's support.
     """
     if theta_nodes < 16:
         raise ValueError("need theta_nodes >= 16")
-    if not c.real_flag:
+    ev = MatrixFamilyEvaluator(c, scheme)
+    if any(x.dtype.kind == "c" for sup in ev.supports for x in sup):
         raise ValueError("the rotation-average identity is for real cocycles")
     ang = 2.0 * math.pi * ((np.arange(theta_nodes) + 0.5) / theta_nodes)
     cos, sin = np.cos(ang), np.sin(ang)
     rotations = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)
-    vals, _ = MatrixFamilyEvaluator(c, scheme).lyapunov_batch(rotations)
+    vals, _ = ev.lyapunov_batch(rotations)
     lhs = float(vals.mean())
 
     def obs(pt):

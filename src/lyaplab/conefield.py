@@ -23,6 +23,8 @@ from .projective import (HEMISPHERE_CENTER, HEMISPHERE_RADIUS, ProjPoint,
                          expansion_coeff, mobius_act, spherical_dist)
 
 DIRECTION_SEED = ProjPoint(0.615 + 0.23j, 0.74 - 0.11j)   # fixed generic start
+MARGIN_FLOOR = 1e-9       # certify_uh: smaller cone margins do not count
+RESIDUAL_TOL = 1e-9       # lyapunov_uh_exact: largest direction residual accepted
 
 
 class DirectionsUnconverged(RuntimeError):
@@ -108,14 +110,13 @@ class CertificationFailure:
 
 def certify_uh(c: Cocycle, cone0: ConeField, n_max: int = 16,
                probes: int = 64, probe_count: int = 256, seed: int = 0,
-               direction_n: int = 256,
-               margin_floor: float = 1e-9) -> UHCertificate | CertificationFailure:
+               direction_n: int = 256) -> UHCertificate | CertificationFailure:
     """Search n <= n_max with A_n(cone closure) inside the cone with positive
     margin, checked on `probe_count` base points and `probes` boundary
     directions per point (plus the center).
 
     The margin is the minimal chordal distance from the sampled image of the
-    cone closure to the cone complement; margins below `margin_floor` do not
+    cone closure to the cone complement; margins below MARGIN_FLOOR do not
     count (a grazing image whose true margin is 0 must not certify through
     roundoff).  Success also tabulates unstable and stable directions at the
     probe points and a heuristic exponent lower bound extracted from the
@@ -145,7 +146,7 @@ def certify_uh(c: Cocycle, cone0: ConeField, n_max: int = 16,
             margin = min(margin, r1 - reach)
         if margin > best_margin:
             best_margin, best_n = margin, n
-        if margin > margin_floor:
+        if margin > MARGIN_FLOOR:
             dirs = []
             min_sep = math.inf
             for pt in points:
@@ -224,11 +225,11 @@ class UHExactResult:
 
 def lyapunov_uh_exact(c: Cocycle, cert: UHCertificate,
                       scheme: IntegrationScheme = IntegrationScheme(),
-                      direction_n: int = 256, residual_tol: float = 1e-9) -> UHExactResult:
+                      direction_n: int = 256) -> UHExactResult:
     """L = integral of the expansion coefficient along the unstable direction.
 
     Also evaluates the dual form -integral along the stable direction and
-    reports the discrepancy.  Direction residuals above tolerance raise
+    reports the discrepancy.  Direction residuals above RESIDUAL_TOL raise
     DirectionsUnconverged.
     """
     if not isinstance(cert, UHCertificate):
@@ -248,9 +249,9 @@ def lyapunov_uh_exact(c: Cocycle, cert: UHCertificate,
 
     val_u, err_u = integrate(c.base, along_unstable, scheme)
     val_s, err_s = integrate(c.base, along_stable, scheme)
-    if worst[0] > residual_tol:
+    if worst[0] > RESIDUAL_TOL:
         raise DirectionsUnconverged(
-            f"direction residual {worst[0]:.3e} above {residual_tol:.1e}; raise direction_n")
+            f"direction residual {worst[0]:.3e} above {RESIDUAL_TOL:.1e}; raise direction_n")
     dual = -val_s
     est = LyapunovEstimate(value=val_u, stderr=0.0, method="uh_exact", n=direction_n)
     return UHExactResult(estimate=est, duality_value=dual,

@@ -44,9 +44,8 @@ class Mat2:
     def trace(self) -> complex:
         return self.a11 + self.a22
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return (abs(self.a11.imag) <= tol and abs(self.a12.imag) <= tol
-                and abs(self.a21.imag) <= tol and abs(self.a22.imag) <= tol)
+    def is_real(self) -> bool:
+        return not (self.a11.imag or self.a12.imag or self.a21.imag or self.a22.imag)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

@@ -123,17 +123,6 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9,
     return QuadResult(value=refined, error=error, nodes_used=nodes, panels=2 * panels)
 
 
-def midpoint_mean(f, n_nodes: int, a: float = 0.0, b: float = 1.0):
-    """Mean of f over [a, b] by the midpoint rule (spectrally accurate for
-    smooth periodic integrands); f takes a vector of nodes."""
-    xs = a + (b - a) * (np.arange(n_nodes) + 0.5) / n_nodes
-    out = f(xs)
-    if isinstance(out, tuple):
-        vals, errs = out
-        return float(np.mean(np.asarray(vals, dtype=float))), float(np.mean(np.asarray(errs, dtype=float)))
-    return float(np.mean(np.asarray(out, dtype=float))), 0.0
-
-
 def gauss_legendre_rule(n: int, a: float, b: float):
     """Gauss-Legendre nodes/weights scaled to [a, b] (tensor factors for the
     convolved functional)."""
@@ -141,17 +130,3 @@ def gauss_legendre_rule(n: int, a: float, b: float):
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
 
-
-def compensated_sum(values) -> float:
-    """Neumaier compensated sum; used where logs of thousands of rescalings
-    accumulate and where large terms cancel."""
-    s = 0.0
-    c = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c

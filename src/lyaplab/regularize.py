@@ -43,7 +43,7 @@ from .projective import Sl2Element
 from .quadrature import QuadResult, adaptive_quadrature, gauss_legendre_rule
 
 BALL_EXPONENT = 2.0 ** (-1.5)       # radius factor eta / 2^{3/2} of the analyticity ball
-DEFAULT_ETA_GEN = 0.05              # ball radius for the sl(2) family (validated below)
+DEFAULT_ETA_GEN = 0.05              # sl(2) ball radius, validated in test_regularize.py
 PSI_CENTER = (math.sqrt(2.0) - 1.0) * 1j
 
 
@@ -228,7 +228,7 @@ class _PhiMachine:
         return self._kinks
 
 
-def phi(q: PhiQuery, L_override=None) -> PhiResult:
+def phi(q: PhiQuery) -> PhiResult:
     """Phi_eps(v, v0, w) by adaptive Gauss-Kronrod quadrature over t.
 
     Each L is exact on periodic bases (spectral radius of the complexified
@@ -237,16 +237,15 @@ def phi(q: PhiQuery, L_override=None) -> PhiResult:
     evaluated and flagged; analyticity is only claimed in the ball.
     """
     machine = _PhiMachine(q)
-    evaluate = L_override if L_override is not None else machine.L_at
 
     def integrand(ts):
-        vals, errs = evaluate(ts)
+        vals, errs = machine.L_at(ts)
         wts = weight(ts)
         return wts * np.asarray(vals, dtype=float), wts * np.asarray(errs, dtype=float)
 
     res = adaptive_quadrature(integrand, -1.0, 1.0, tol=q.tol(),
                               max_panels=q.max_panels,
-                              break_at=() if L_override else machine.kinks())
+                              break_at=machine.kinks())
     flag = "in-ball" if q.in_ball() else "out-of-ball"
     return PhiResult(value=res.value, quad_error=res.error, domain_flag=flag,
                      nodes_used=res.nodes_used)
@@ -350,9 +349,6 @@ class Sl2Field:
     p2: Potential
     p3: Potential
 
-    def is_real(self) -> bool:
-        return self.p1.is_real() and self.p2.is_real() and self.p3.is_real()
-
     def sup_norm(self) -> float:
         return max(sup_upper_bound(self.p1), sup_upper_bound(self.p2),
                    sup_upper_bound(self.p3))
@@ -441,7 +437,7 @@ def phi_general(cocycle: Cocycle, b: Sl2Element | Sl2Field, a: Sl2Element | Sl2F
                 epsilon: float, quad_tol: float = 1e-8,
                 scheme: IntegrationScheme = IntegrationScheme(),
                 eta_gen: float = DEFAULT_ETA_GEN, s: float = 1.0,
-                enforce_ball: bool = True, max_panels: int = 512) -> tuple[float, float]:
+                max_panels: int = 512) -> tuple[float, float]:
     """integral of weight(t) L(e^{eps(t b + (1-t^2) s a)} A) dt, the
     non-Schrodinger regularized functional.
 
@@ -450,15 +446,14 @@ def phi_general(cocycle: Cocycle, b: Sl2Element | Sl2Field, a: Sl2Element | Sl2F
     base = cocycle.base
     b_f = constant_sl2_field(base, b) if isinstance(b, Sl2Element) else b
     a_f = constant_sl2_field(base, a) if isinstance(a, Sl2Element) else a
-    if enforce_ball:
-        b_dev = Sl2Field(combine([(1.0, b_f.p1)]),
-                         combine([(1.0, b_f.p2), (-1.0, constant_potential(base))]),
-                         combine([(1.0, b_f.p3), (1.0, constant_potential(base))]))
-        if b_dev.sup_norm() > eta_gen + 1e-12:
-            raise ValueError(f"b is {b_dev.sup_norm():.3f} away from the rotation "
-                             f"generator (> eta_gen = {eta_gen})")
-        if a_f.sup_norm() > eta_gen + 1e-12:
-            raise ValueError(f"||a|| = {a_f.sup_norm():.3f} > eta_gen = {eta_gen}")
+    b_dev = Sl2Field(combine([(1.0, b_f.p1)]),
+                     combine([(1.0, b_f.p2), (-1.0, constant_potential(base))]),
+                     combine([(1.0, b_f.p3), (1.0, constant_potential(base))]))
+    if b_dev.sup_norm() > eta_gen + 1e-12:
+        raise ValueError(f"b is {b_dev.sup_norm():.3f} away from the rotation "
+                         f"generator (> eta_gen = {eta_gen})")
+    if a_f.sup_norm() > eta_gen + 1e-12:
+        raise ValueError(f"||a|| = {a_f.sup_norm():.3f} > eta_gen = {eta_gen}")
     ev = GeneralFamilyEvaluator(cocycle, b_f, a_f, epsilon, scheme)
 
     def integrand(ts):
@@ -468,57 +463,6 @@ def phi_general(cocycle: Cocycle, b: Sl2Element | Sl2Field, a: Sl2Element | Sl2F
 
     res = adaptive_quadrature(integrand, -1.0, 1.0, tol=quad_tol, max_panels=max_panels)
     return float(res.value), float(res.error)
-
-
-def cone_derivative_check(b: Sl2Element, a: Sl2Element, z: complex, m: float,
-                          eta: float | None = None) -> float:
-    """Im of the epsilon-derivative of the projective image of the real
-    direction m under e^{eps(z b + (1-z^2) a)} at eps = 0.
-
-    First chart for finite m; the second chart handles m = infinity.  Positive
-    values mean the hemisphere cone is entered; eta, when given, only asserts
-    the ball preconditions.
-    """
-    if eta is not None:
-        dev = max(abs(b.b1), abs(b.b2 - 1.0), abs(b.b3 + 1.0))
-        if dev > eta or max(abs(a.b1), abs(a.b2), abs(a.b3)) > eta:
-            raise ValueError("(b, a) outside the eta ball")
-    z = complex(z)
-    w2 = 1.0 - z * z
-    if math.isinf(m):
-        return (-z * b.b3 - w2 * a.b3).imag
-    return (z * (2.0 * b.b1 * m + b.b2 - b.b3 * m * m)
-            + w2 * (2.0 * a.b1 * m + a.b2 - a.b3 * m * m)).imag
-
-
-def validate_eta_gen(eta: float = DEFAULT_ETA_GEN, samples: int = 1000,
-                     seed: int = 0) -> float:
-    """Shrink eta until the cone-derivative check is positive on a seeded
-    sample of (b, a, z, m) from the admissible cases; returns the final eta."""
-    rng = np.random.default_rng(seed)
-    while eta > 1e-6:
-        ok = True
-        for _ in range(samples):
-            b = Sl2Element(*(eta * rng.uniform(-1, 1, 3) + np.array([0.0, 1.0, -1.0])))
-            m = math.inf if rng.uniform() < 0.05 else math.tan(rng.uniform(-0.499, 0.499) * math.pi)
-            if rng.uniform() < 0.5:
-                # case (1): z on the upper unit circle or at the center, a complex
-                u = rng.uniform(0.05, 0.45) * 2.0 * math.pi
-                z = cmath.exp(1j * u) if rng.uniform() < 0.8 else PSI_CENTER
-                a = Sl2Element(*(eta * (rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) / 2.0))
-            else:
-                # case (2): z inside the upper half disk, a real
-                rr = rng.uniform(0.1, 0.95)
-                u = rng.uniform(0.05, 0.95) * math.pi
-                z = rr * cmath.exp(1j * u)
-                a = Sl2Element(*(eta * rng.uniform(-1, 1, 3)))
-            if cone_derivative_check(b, a, z, m) <= 0.0:
-                ok = False
-                break
-        if ok:
-            return eta
-        eta *= 0.5
-    raise RuntimeError("no positive eta found; cone derivative estimate broken")
 
 
 # ---------------------------------------------------------------------------

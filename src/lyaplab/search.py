@@ -27,6 +27,8 @@ from .regularize import (BALL_EXPONENT, DEFAULT_ETA_GEN, GeneralFamilyEvaluator,
                          sup_upper_bound)
 
 EXACT_FLOOR = 1e-10      # positivity floor where the evaluation is exact
+SCHRODINGER_QUAD_TOL = 3e-5   # Phi detector tolerance, Schrodinger search
+GENERAL_QUAD_TOL = 2e-5       # Phi_general detector tolerance, general search
 
 
 class PreconditionFailed(RuntimeError):
@@ -64,23 +66,18 @@ def _positive(est: LyapunovEstimate) -> bool:
     return est.value > max(3.0 * est.stderr, EXACT_FLOOR)
 
 
-def default_trig_basis(degree: int = 18, include_sin: bool = False) -> list[TrigPolynomial]:
-    """Cosine (optionally sine) monomials 1..degree.
+def default_trig_basis(degree: int = 18) -> list[TrigPolynomial]:
+    """Cosine monomials 1..degree.
 
     The default degree is chosen so that typical Diophantine rotation numbers
     have a first-order reachable gap label; the golden rotation needs mode 17.
     """
-    out = []
-    for k in range(1, degree + 1):
-        out.append(TrigPolynomial(cos=(0.0,) * (k - 1) + (1.0,)))
-        if include_sin:
-            out.append(TrigPolynomial(sin=(0.0,) * (k - 1) + (1.0,)))
-    return out
+    return [TrigPolynomial(cos=(0.0,) * (k - 1) + (1.0,)) for k in range(1, degree + 1)]
 
 
-def _phi_detector(base, v_entry, w, epsilon, scheme, quad_tol) -> tuple[float, float]:
+def _phi_detector(base, v_entry, w, epsilon, scheme) -> tuple[float, float]:
     q = PhiQuery(base=base, v=v_entry, w=w, epsilon=epsilon, scheme=scheme,
-                 quad_tol=quad_tol, max_panels=96)
+                 quad_tol=SCHRODINGER_QUAD_TOL, max_panels=96)
     res = phi(q)
     return res.value, res.quad_error
 
@@ -88,8 +85,7 @@ def _phi_detector(base, v_entry, w, epsilon, scheme, quad_tol) -> tuple[float, f
 def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
                                 delta: float, basis: list[Potential] | None = None,
                                 budget: int = 400, seed: int = 0,
-                                scheme: IntegrationScheme | None = None,
-                                quad_tol: float = 3e-5) -> SearchReport:
+                                scheme: IntegrationScheme | None = None) -> SearchReport:
     """Find v2 with ||v2 - v1|| < delta and L(E - v2) > 0 (statistically).
 
     Implements the density proof as an algorithm: with v = E - v1 and v0 = 1,
@@ -135,7 +131,7 @@ def search_positive_schrodinger(base: BaseSystem, v1: Potential, energy: float,
             raise _BudgetExhausted()
         budget_left[0] -= 1
         w = combine(list(zip(coeffs, basis)))
-        return _phi_detector(base, v_entry, w, epsilon, scheme, quad_tol)
+        return _phi_detector(base, v_entry, w, epsilon, scheme)
 
     best = {"coeffs": None, "phi": 0.0, "err": math.inf}
 
@@ -254,8 +250,7 @@ def search_positive_general(cocycle: Cocycle, delta: float,
                             basis: list[Sl2Field] | None = None,
                             budget: int = 200, seed: int = 0,
                             scheme: IntegrationScheme | None = None,
-                            eta_gen: float = DEFAULT_ETA_GEN,
-                            quad_tol: float = 2e-5) -> SearchReport:
+                            eta_gen: float = DEFAULT_ETA_GEN) -> SearchReport:
     """General-cocycle version: perturbations e^{eps(t b + (1-t^2) s a)} A
     with b the rotation generator and a from an sl(2)-valued basis inside the
     eta_gen ball; Phi_general is the positivity detector."""
@@ -284,7 +279,7 @@ def search_positive_general(cocycle: Cocycle, delta: float,
 
     def detector(a_field: Sl2Field, s: float) -> tuple[float, float]:
         evals_used[0] += 1
-        return phi_general(cocycle, b, a_field, epsilon, quad_tol=quad_tol,
+        return phi_general(cocycle, b, a_field, epsilon, quad_tol=GENERAL_QUAD_TOL,
                            scheme=scheme, eta_gen=eta_gen, s=s, max_panels=96)
 
     found_a = None

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -70,12 +71,37 @@ class TestScenarioValidation:
         assert "schema error" in capsys.readouterr().err
 
     def test_string_samples_read_as_int(self, tmp_path, capsys):
-        sc = lyap_scenario(base={"family": "circle_rotation", "alpha": 0.6180339887498949},
+        # a shift base: rotations run one Birkhoff orbit and ignore samples
+        sc = lyap_scenario(base={"family": "bernoulli_shift", "symbols": 2,
+                                 "probabilities": [0.5, 0.5]},
                            cocycle={"kind": "rotation", "theta": 0.1},
                            params={"method": "birkhoff"}, n=64, samples="4")
         path = write(tmp_path, "s.json", sc)
         assert main(["lyapunov", "--scenario", path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["results"]["samples"] == 4
+
+    def test_family_mismatch_exits_2(self, tmp_path, capsys):
+        sc = lyap_scenario(base={"family": "circle_rotation", "alpha": 0.6180339887498949},
+                           potential={"family": "periodic_table", "tables": [[0.0]]},
+                           params={"energy": 3.0})
+        del sc["cocycle"]
+        path = write(tmp_path, "s.json", sc)
+        assert main(["lyapunov", "--scenario", path]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, method", [
+        ({"family": "circle_rotation", "alpha": 0.6180339887498949}, "periodic_exact"),
+        ({"family": "circle_rotation", "alpha": 0.6180339887498949}, "bogus"),
+        ({"family": "periodic_orbits", "orbits": [[1, 1.0]]}, "birkhoff"),
+        ({"family": "periodic_orbits", "orbits": [[1, 1.0]]}, "bogus"),
+    ], ids=["exact_on_rotation", "bogus_on_rotation", "birkhoff_on_periodic",
+            "bogus_on_periodic"])
+    def test_method_must_name_the_base_estimator(self, tmp_path, capsys, base, method):
+        sc = lyap_scenario(base=base, cocycle={"kind": "rotation", "theta": 0.1},
+                           params={"method": method}, n=64)
+        path = write(tmp_path, "s.json", sc)
+        assert main(["lyapunov", "--scenario", path]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
 
 
 class TestRunRecords:
@@ -216,6 +242,23 @@ class TestRunRecords:
               "seed": 1, "n": 1024}
         record, code = run_scenario(write(tmp_path, "s.json", sc))
         assert code == EXIT_BUDGET
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")
+                                        if p.stem != "search_golden"))
+def test_committed_scenario_runs_deterministically(name, capsys):
+    """Each committed scenario (but the slow density search) exits 0 through
+    main, and two runs print byte-identical results."""
+    path = SCENARIOS / f"{name}.json"
+    operation = json.loads(path.read_text())["operation"]
+    results = []
+    for _ in range(2):
+        assert main([operation, "--scenario", str(path)]) == EXIT_OK
+        results.append(canonical_json(json.loads(capsys.readouterr().out)["results"]))
+    assert results[0] == results[1]
 
 
 class TestParserSchemaParity:

@@ -201,9 +201,11 @@ class TestAbAverage:
             ab_average_check(c, theta_nodes=8)
 
     def test_rejects_complex(self):
-        c = schrodinger_cocycle(PERIOD1, constant_potential(PERIOD1, 1j), 0.0)
-        with pytest.raises(ValueError):
-            ab_average_check(c)
+        # realness comes from the support, so a complex matrix_cocycle is caught too
+        for c in (schrodinger_cocycle(PERIOD1, constant_potential(PERIOD1, 1j), 0.0),
+                  matrix_cocycle(PERIOD1, lambda pt: Mat2(2.0, 1j, 0.0, 0.5))):
+            with pytest.raises(ValueError):
+                ab_average_check(c)
 
 
 class TestBatchedEvaluators:
@@ -388,6 +390,36 @@ def test_best_lyapunov_real_elliptic_orbits_are_exactly_zero():
     assert best_lyapunov(cz).value > 0.0
 
 
+def _scalar_fubini(c, max_doubling, scheme):
+    """The doubling sequence one point and one step at a time: the scalar
+    `iterate_renormalized` averaged by `bases.integrate`."""
+    out = []
+    for m in range(max_doubling + 1):
+        length = 2 ** m
+        def obs(pt, length=length):
+            _, acc = iterate_renormalized(c, pt, length)
+            return acc / length
+        val, _ = integrate(c.base, obs, scheme)
+        out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("kind, energy, scheme", [
+    ("periodic", 0.9, IntegrationScheme()),
+    ("rotation", 0.7, IntegrationScheme(n=64, seed=3)),
+    ("rotation", 0.7 + 0.4j, IntegrationScheme(n=64, seed=3)),
+    ("shift", 0.9, IntegrationScheme(samples=6, seed=3)),
+    ("shift", 0.9, IntegrationScheme(samples=1, seed=3)),
+], ids=["periodic", "rotation_real", "rotation_complex", "shift", "shift_one_sample"])
+def test_fubini_kernel_matches_scalar_oracle(kind, energy, scheme):
+    base, pot = ORACLE_BASES[kind]
+    for c in (schrodinger_cocycle(base, pot, energy), constant_cocycle(base, BOOST)):
+        got = lyapunov_fubini(c, 5, scheme)
+        want = _scalar_fubini(c, 5, scheme)
+        assert len(got) == len(want) == 6
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["rotation", "shift"])
 def test_ab_average_check_matches_per_theta_oracle(kind):
     """Left factors R_theta on the evaluator against the scalar exponent of
@@ -421,7 +453,7 @@ def test_entry_support_matches_fiber_support(kind, energy):
     c = schrodinger_cocycle(base, pot, energy)
     scheme = IntegrationScheme(n=64, samples=5, seed=2)
     by_entry = MatrixFamilyEvaluator(c, scheme)
-    by_fiber = MatrixFamilyEvaluator(matrix_cocycle(base, c.fiber, c.real_flag), scheme)
+    by_fiber = MatrixFamilyEvaluator(matrix_cocycle(base, c.fiber), scheme)
     assert len(by_entry.supports) == len(by_fiber.supports)
     for se, sf in zip(by_entry.supports, by_fiber.supports):
         for xe, xf in zip(se, sf):
@@ -490,7 +522,7 @@ def _stack(mats, dtype):
 def _assert_matches_oracle(got, mats):
     n = len(mats)
     base = PeriodicOrbits(((n, 1.0),))
-    c = matrix_cocycle(base, lambda pt: Mat2(*mats[pt.phase]), real_flag=False)
+    c = matrix_cocycle(base, lambda pt: Mat2(*mats[pt.phase]))
     m, acc = iterate_renormalized(c, PeriodicPoint(0, 0), n)
     a, b, cc, d, logscale = (np.asarray(x).reshape(-1)[0] for x in got)
     hs = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(cc) ** 2 + abs(d) ** 2)

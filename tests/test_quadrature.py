@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyaplab.quadrature import (adaptive_quadrature, compensated_sum,
-                                gauss_legendre_rule, midpoint_mean)
+from lyaplab.quadrature import adaptive_quadrature, gauss_legendre_rule
 
 
 def test_polynomial_is_exact():
@@ -45,18 +44,8 @@ def test_rejects_empty_interval():
         adaptive_quadrature(lambda x: x, 1.0, 1.0)
 
 
-def test_midpoint_mean_periodic():
-    val, err = midpoint_mean(lambda t: np.cos(2 * math.pi * t) ** 2, 64)
-    assert abs(val - 0.5) < 1e-12
-
-
 def test_gauss_legendre_constants_and_moments():
     x, w = gauss_legendre_rule(8, -0.3, 0.3)
     assert abs(w.sum() - 0.6) < 1e-14
     assert abs(np.dot(w, x ** 2) - 0.3 ** 3 * 2 / 3) < 1e-15
 
-
-def test_compensated_sum_beats_naive():
-    vals = [1e16, 1.0, -1e16, 1.0] * 100
-    assert compensated_sum(vals) == 200.0
-    assert sum(vals) != 200.0

@@ -10,12 +10,11 @@ from lyaplab.bases import (CircleRotation, IntegrationScheme, PeriodicOrbits,
 from lyaplab.cocycles import constant_cocycle, lyapunov_periodic_exact, schrodinger_entry_cocycle
 from lyaplab.projective import Mat2, ROTATION_GENERATOR, Sl2Element, rotation
 from lyaplab.quadrature import adaptive_quadrature
-from lyaplab.regularize import (BALL_EXPONENT, NotUH, PhiQuery, Sl2Field,
-                                analyticity_probe, cmap_phi, cmap_phi_inv,
-                                cmap_psi, cone_derivative_check, exp_sl2_batch,
+from lyaplab.regularize import (BALL_EXPONENT, DEFAULT_ETA_GEN, PSI_CENTER, NotUH,
+                                PhiQuery, Sl2Field, analyticity_probe, cmap_phi,
+                                cmap_phi_inv, cmap_psi, exp_sl2_batch,
                                 inf_lower_bound, phi, phi_boundary,
-                                phi_convolved, phi_general, poisson_check,
-                                validate_eta_gen, weight)
+                                phi_convolved, phi_general, poisson_check, weight)
 
 PERIOD1 = PeriodicOrbits(((1, 1.0),))
 PERIOD2 = PeriodicOrbits(((2, 1.0),))
@@ -93,13 +92,6 @@ class TestConformalMaps:
 
 
 class TestPhi:
-    def test_stubbed_unit_integrand_gives_quarter_pi(self):
-        q = PhiQuery(base=PERIOD2, v=PeriodicTable(((-3.0, -3.0),)),
-                     w=constant_potential(PERIOD2, 0.0), epsilon=0.1)
-        stub = lambda ts: (np.ones(len(ts)), np.zeros(len(ts)))
-        res = phi(q, L_override=stub)
-        assert abs(res.value - math.pi / 4.0) < 1e-10
-
     def test_elliptic_family_is_zero(self):
         q = PhiQuery(base=PERIOD1, v=constant_potential(PERIOD1, 0.0),
                      w=constant_potential(PERIOD1, 0.0), epsilon=1.0)
@@ -311,6 +303,59 @@ class TestPhiGeneral:
                                scheme=IntegrationScheme(n=8192, seed=3),
                                quad_tol=1e-4, max_panels=64)
         assert val > 0.0
+
+
+# the cone-derivative estimate behind DEFAULT_ETA_GEN, and its validation
+
+def cone_derivative_check(b: Sl2Element, a: Sl2Element, z: complex, m: float,
+                          eta: float | None = None) -> float:
+    """Im of the epsilon-derivative of the projective image of the real
+    direction m under e^{eps(z b + (1-z^2) a)} at eps = 0.
+
+    First chart for finite m; the second chart handles m = infinity.  Positive
+    values mean the hemisphere cone is entered; eta, when given, only asserts
+    the ball preconditions.
+    """
+    if eta is not None:
+        dev = max(abs(b.b1), abs(b.b2 - 1.0), abs(b.b3 + 1.0))
+        if dev > eta or max(abs(a.b1), abs(a.b2), abs(a.b3)) > eta:
+            raise ValueError("(b, a) outside the eta ball")
+    z = complex(z)
+    w2 = 1.0 - z * z
+    if math.isinf(m):
+        return (-z * b.b3 - w2 * a.b3).imag
+    return (z * (2.0 * b.b1 * m + b.b2 - b.b3 * m * m)
+            + w2 * (2.0 * a.b1 * m + a.b2 - a.b3 * m * m)).imag
+
+
+def validate_eta_gen(eta: float = DEFAULT_ETA_GEN, samples: int = 1000,
+                     seed: int = 0) -> float:
+    """Shrink eta until the cone-derivative check is positive on a seeded
+    sample of (b, a, z, m) from the admissible cases; returns the final eta."""
+    rng = np.random.default_rng(seed)
+    while eta > 1e-6:
+        ok = True
+        for _ in range(samples):
+            b = Sl2Element(*(eta * rng.uniform(-1, 1, 3) + np.array([0.0, 1.0, -1.0])))
+            m = math.inf if rng.uniform() < 0.05 else math.tan(rng.uniform(-0.499, 0.499) * math.pi)
+            if rng.uniform() < 0.5:
+                # case (1): z on the upper unit circle or at the center, a complex
+                u = rng.uniform(0.05, 0.45) * 2.0 * math.pi
+                z = cmath.exp(1j * u) if rng.uniform() < 0.8 else PSI_CENTER
+                a = Sl2Element(*(eta * (rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) / 2.0))
+            else:
+                # case (2): z inside the upper half disk, a real
+                rr = rng.uniform(0.1, 0.95)
+                u = rng.uniform(0.05, 0.95) * math.pi
+                z = rr * cmath.exp(1j * u)
+                a = Sl2Element(*(eta * rng.uniform(-1, 1, 3)))
+            if cone_derivative_check(b, a, z, m) <= 0.0:
+                ok = False
+                break
+        if ok:
+            return eta
+        eta *= 0.5
+    raise RuntimeError("no positive eta found; cone derivative estimate broken")
 
 
 class TestConeDerivative:
