@@ -2,8 +2,8 @@
 and SVG plots.
 
 Exit codes: 0 success, 2 scenario/schema error, 3 numerical failure,
-4 search budget exhausted.  Results payloads are deterministic given the
-scenario (seed included).
+4: the search found nothing; `results.reason` says why.  Results payloads are
+deterministic given the scenario (seed included).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ RECORD_SCHEMA = "lyaplab/record/v1"
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
-EXIT_BUDGET = 4
+EXIT_BUDGET = 4          # a search that found nothing, for any reason
 
 OPERATIONS = ("lyapunov", "certify", "bands", "ids", "phi", "ab-check",
               "search", "quantita-scan")

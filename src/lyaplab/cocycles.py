@@ -582,7 +582,12 @@ def best_lyapunov(c: Cocycle, n: int = 4096, samples: int = 1, seed: int = 0) ->
     the same estimates one step at a time; they are its test oracle.
     """
     ev = MatrixFamilyEvaluator(c, IntegrationScheme(n=n, samples=samples, seed=seed))
-    vals, errs = ev.lyapunov_batch(np.eye(2)[None])
+    return lane_estimate(ev, *ev.lyapunov_batch(np.eye(2)[None]))
+
+
+def lane_estimate(ev, vals: np.ndarray, errs: np.ndarray) -> LyapunovEstimate:
+    """Lane 0 of an evaluator's (values, stderrs) as a LyapunovEstimate, with
+    the method, length and sample count of the evaluator's estimator."""
     if ev.kind == "periodic":
         return LyapunovEstimate(value=float(vals[0]), stderr=0.0, method="periodic_exact")
     return LyapunovEstimate(value=float(vals[0]), stderr=float(errs[0]), method="birkhoff",

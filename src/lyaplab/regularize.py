@@ -174,14 +174,15 @@ class _PhiMachine:
         self.periodic = isinstance(q.base, PeriodicOrbits)
         self._kinks = None
 
-    def _entries(self, zs: np.ndarray):
+    def _entries(self, zs: np.ndarray, s: complex = 1.0):
         q = self.q
         z = np.asarray(zs)
         return self.ev.lane_entries(self.sv, (q.epsilon * z, self.sv0),
-                                    (q.epsilon * (1.0 - z * z), self.sw))
+                                    (q.epsilon * (1.0 - z * z) * s, self.sw))
 
-    def L_at(self, zs) -> tuple[np.ndarray, np.ndarray]:
-        return self.ev.lyapunov_batch(self._entries(zs))
+    def L_at(self, zs, s: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """L(v + eps(z v0 + (1-z^2) s w)) at the nodes zs."""
+        return self.ev.lyapunov_batch(self._entries(zs, s))
 
     def min_imag_entry(self, zs) -> np.ndarray:
         """min over the sampled base of Im(entry) per node; positive values

@@ -243,6 +243,18 @@ class TestRunRecords:
         record, code = run_scenario(write(tmp_path, "s.json", sc))
         assert code == EXIT_BUDGET
 
+    def test_search_found_nothing_exits_4(self, tmp_path, capsys):
+        # exit 4 means any not-found search, not only an exhausted budget
+        sc = {"schema": "lyaplab/scenario/v1", "operation": "search",
+              "base": {"family": "circle_rotation", "alpha": (math.sqrt(5) - 1) / 2},
+              "params": {"kind": "schrodinger",
+                         "v1": {"family": "trig_polynomial", "const": 0.0,
+                                "cos": [], "sin": []},
+                         "energy": 0.0, "delta": 0}}
+        assert main(["search", "--scenario", write(tmp_path, "s.json", sc)]) == EXIT_BUDGET
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["reason"] == "empty search region (delta <= 0)"
+
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 

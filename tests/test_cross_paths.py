@@ -19,7 +19,8 @@ from lyaplab.cocycles import (SchrodingerFamilyEvaluator, iterate_renormalized,
                               schrodinger_entry_cocycle)
 from lyaplab.conefield import harmonicity_probe
 from lyaplab.regularize import PhiQuery, phi, phi_boundary
-from lyaplab.spectral import PeriodicPotential, band_edges, bands, discriminant, ids
+from lyaplab.spectral import (PeriodicPotential, _edge_matrix, band_edges, bands,
+                               discriminant, ids)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -105,6 +106,30 @@ def test_discriminant_matches_scalar_oracle(n, seed, log_r, angle, cplx):
     ts = discriminant(PeriodicPotential(vals), grid)
     assert ts.dtype == (np.complex128 if cplx else np.float64)
     assert abs(ts[0] - got) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10 ** 6), st.floats(-4.0, 4.0),
+       st.floats(0.0, 2.0 * math.pi))
+@example(1, 0, 0.0, 0.0)
+@example(8, 3, 0.1, math.pi)
+def test_floquet_determinant_identity(n, seed, energy, angle):
+    # det(E - H_phi) = Delta(E) - 2 cos(phi) (Floquet theory): the eigvalsh
+    # path through _edge_matrix against the tree-kernel discriminant
+    rng = np.random.default_rng(seed)
+    pot = PeriodicPotential(tuple(rng.uniform(-1.5, 1.5, n)))
+    eigs = np.linalg.eigvalsh(_edge_matrix(pot, np.exp(1j * angle)))
+    dist = np.abs(eigs - energy)
+    assume(dist.min() > 1e-6)
+    lhs = float(np.sum(np.log(dist)))
+    det = discriminant(pot, energy) - 2.0 * math.cos(angle)
+    rhs = math.log(abs(det))
+    # eigenvalue errors n eps ||H|| over the distance to E, and the product
+    # kernel's n eps prod ||A_i|| over |det|
+    norms = [math.sqrt((energy - v) ** 2 + 2.0) for v in pot.values]
+    tol = 32.0 * (n + 1) * 2.2e-16 * (n * (max(map(abs, pot.values)) + 2.0) / dist.min()
+                                      + math.prod(norms) / abs(det)) + 1e-14
+    assert abs(lhs - rhs) <= tol
 
 
 @settings(max_examples=25, deadline=None)

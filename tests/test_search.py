@@ -1,11 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyaplab.bases import (CircleRotation, IntegrationScheme, PeriodicOrbits,
-                           PeriodicTable, TrigPolynomial)
-from lyaplab.cocycles import constant_cocycle
+from lyaplab import search
+from lyaplab.bases import (BernoulliShift, CircleRotation, IntegrationScheme,
+                           PeriodicOrbits, PeriodicTable, TrigPolynomial)
+from lyaplab.cocycles import best_lyapunov, constant_cocycle
 from lyaplab.projective import Mat2, rotation
 from lyaplab.search import (PreconditionFailed, default_sl2_basis,
                             default_trig_basis, quantita_scan,
@@ -13,6 +16,7 @@ from lyaplab.search import (PreconditionFailed, default_sl2_basis,
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 PERIOD2 = PeriodicOrbits(((2, 1.0),))
+MODE17 = [TrigPolynomial(cos=(0.0,) * 16 + (1.0,))]    # the golden rotation's reachable gap
 
 
 class TestSchrodingerSearch:
@@ -27,7 +31,7 @@ class TestSchrodingerSearch:
     def test_zero_delta_fails_immediately(self):
         gold = CircleRotation(GOLDEN)
         rep = search_positive_schrodinger(gold, TrigPolynomial(), 0.0, 0.0)
-        assert not rep.found and "delta" in rep.reason
+        assert not rep.found and rep.reason == "empty search region (delta <= 0)"
 
     def test_budget_zero_reports_exhaustion(self):
         gold = CircleRotation(GOLDEN)
@@ -38,9 +42,8 @@ class TestSchrodingerSearch:
     def test_directed_search_succeeds_fast(self):
         # with the reachable-gap mode supplied directly the search is quick
         gold = CircleRotation(GOLDEN)
-        basis = [TrigPolynomial(cos=(0.0,) * 16 + (1.0,))]
         rep = search_positive_schrodinger(gold, TrigPolynomial(), 0.0, 0.5,
-                                          basis=basis, seed=1,
+                                          basis=MODE17, seed=1,
                                           scheme=IntegrationScheme(n=8192, seed=1))
         assert rep.found
         assert rep.perturbation_norm < 0.5
@@ -53,8 +56,7 @@ class TestSchrodingerSearch:
 
     def test_deterministic_reports(self):
         gold = CircleRotation(GOLDEN)
-        basis = [TrigPolynomial(cos=(0.0,) * 16 + (1.0,))]
-        kw = dict(basis=basis, seed=9, scheme=IntegrationScheme(n=4096, seed=9))
+        kw = dict(basis=MODE17, seed=9, scheme=IntegrationScheme(n=4096, seed=9))
         a = search_positive_schrodinger(gold, TrigPolynomial(), 0.0, 0.5, **kw)
         b = search_positive_schrodinger(gold, TrigPolynomial(), 0.0, 0.5, **kw)
         assert a.to_json() == b.to_json()
@@ -81,7 +83,13 @@ class TestGeneralSearch:
         gold = CircleRotation(GOLDEN)
         c = constant_cocycle(gold, rotation(GOLDEN))
         rep = search_positive_general(c, 0.5, budget=0)
-        assert not rep.found
+        assert not rep.found and rep.reason == "budget_exhausted"
+        assert rep.params == {"best_phi": 0.0}
+
+    def test_zero_delta_fails_immediately(self):
+        c = constant_cocycle(CircleRotation(GOLDEN), rotation(GOLDEN))
+        rep = search_positive_general(c, 0.0)
+        assert not rep.found and rep.reason == "empty search region (delta <= 0)"
 
     def test_rotation_cocycle_with_directed_basis(self):
         gold = CircleRotation(GOLDEN)
@@ -102,6 +110,66 @@ class TestGeneralSearch:
         assert len(basis) == 12
         base2 = PERIOD2
         assert len(default_sl2_basis(base2)) == 2
+
+
+class TestOneBudgetRule:
+    """`budget` counts Phi evaluations in both searches, and nothing else."""
+
+    def test_scan_levels_do_not_draw_on_the_budget(self):
+        gold = CircleRotation(GOLDEN)
+        rep = search_positive_schrodinger(gold, TrigPolynomial(), 0.0, 0.5, basis=MODE17,
+                                          budget=1, seed=9,
+                                          scheme=IntegrationScheme(n=4096, seed=9))
+        assert rep.found, rep.reason
+        stages = [t["stage"] for t in rep.trace]
+        assert stages.count("w_axis") == 1 and "t_scan" in stages
+
+    def test_zero_budget_still_checks_the_initial_exponent(self):
+        gold = CircleRotation(GOLDEN)
+        c = constant_cocycle(gold, Mat2(2.0, 0.0, 0.0, 0.5))
+        rep = search_positive_general(c, 0.5, budget=0)
+        assert rep.found and rep.perturbation_norm == 0.0
+        assert [t["stage"] for t in rep.trace] == ["initial"]
+
+
+class TestGeneralVerifyEstimate:
+    """The verify estimate carries the metadata of the estimator it ran."""
+
+    def test_periodic_base(self):
+        base = PeriodicOrbits(((1, 1.0),))
+        rep = search_positive_general(constant_cocycle(base, rotation(0.01)), 0.5, seed=2)
+        assert rep.found
+        est = rep.lyapunov_at_result
+        ref = best_lyapunov(constant_cocycle(base, Mat2(2.0, 0.0, 0.0, 0.5)))
+        assert (est.method, est.n, est.samples) == (ref.method, ref.n, ref.samples)
+        assert (est.method, est.n) == ("periodic_exact", 0)
+
+    def test_shift_base_counts_samples(self):
+        sh = BernoulliShift(2, (0.5, 0.5))
+        rep = search_positive_general(constant_cocycle(sh, rotation(0.01)), 0.5, seed=2,
+                                      scheme=IntegrationScheme(n=128, samples=3, seed=2))
+        assert rep.found
+        est = rep.lyapunov_at_result
+        assert (est.method, est.n, est.samples) == ("birkhoff", 256, 3)
+
+
+def test_benchmark_trace_contract():
+    # perfbench/tracing.py patches the search entry points by name and reads
+    # the trace stages; a directed search must count as one Phi evaluation,
+    # one verify call and one found search
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer().installed() as tracer:
+        search.search_positive_schrodinger(CircleRotation(GOLDEN), TrigPolynomial(), 0.0, 0.5,
+                                           basis=MODE17, seed=9,
+                                           scheme=IntegrationScheme(n=4096, seed=9))
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["search.calls"] == 1
+    assert metrics["search.phi_evals"] == 1
+    assert metrics["search.verify_calls"] == 1
+    assert metrics["search.found_ratio"] == 1.0
 
 
 class TestQuantitaScan:
