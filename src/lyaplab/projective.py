@@ -185,13 +185,6 @@ class Sl2Element:
     b2: complex
     b3: complex
 
-    def to_mat2(self) -> Mat2:
-        return Mat2(self.b1, self.b2, self.b3, -self.b1)
-
-    def norm(self) -> float:
-        """sup norm over entries, the ball norm used for the eta balls."""
-        return max(abs(self.b1), abs(self.b2), abs(self.b3))
-
     def __add__(self, other: "Sl2Element") -> "Sl2Element":
         return Sl2Element(self.b1 + other.b1, self.b2 + other.b2, self.b3 + other.b3)
 

@@ -233,69 +233,53 @@ def ids(v: PeriodicPotential) -> IDS:
                increasing=tuple(((n - 1 - k) % 2 == 0) for k in range(n)))
 
 
-def thouless_lyapunov(n_of_e: IDS, energy: float, tol: float = 1e-8) -> float:
-    """integral of ln|E' - E| dN(E'), band by band in the theta variable.
+# thouless_lyapunov's quadrature over the Floquet phase
+THOULESS_TOL = 1e-8
+THOULESS_MIN_PANELS = 4
+THOULESS_MAX_PANELS = 400
 
-    When E lies inside a band, ln|E'-E| = ln|theta'-theta_0| +
-    ln|(E'-E)/(theta'-theta_0)|; the first term integrates in closed form and
-    the second is smooth, restoring fast quadrature.  The raw value is
-    returned (no clamping at 0).
+
+def thouless_lyapunov(n_of_e: IDS, energy: float) -> float:
+    """integral of ln|E' - E| dN(E'), as one quadrature over the Floquet phase.
+
+    dN = dtheta / (n pi) on every band and theta -> phi is a reflection, so
+    the integral is (1 / (n pi)) int_0^pi sum_k ln|E_k(phi) - E| dphi, with
+    every band's E_k(phi) at a panel's nodes from one eigvalsh.  For E in the
+    spectrum the integrand has log singularities where 2 cos phi = t(E):
+    ln|phi - c| is subtracted for c in {phi0, -phi0, 2 pi - phi0}, phi0 =
+    arccos(t(E)/2), and added back in closed form.  Subtraction and
+    add-back cancel for any c, so t(E) only steers the convergence.  The
+    raw value is returned (no clamping at 0).
     """
     e0 = float(energy)
-    n = n_of_e.n
-    edges = n_of_e.edges
-    total = 0.0
-    for k in range(n):
-        a, b = edges[2 * k], edges[2 * k + 1]
-        if b - a < 1e-13:
-            total += math.log(abs(0.5 * (a + b) - e0) + 1e-300) / n
-            continue
+    v = n_of_e.potential
+    t = discriminant(v, e0)
+    if any(abs(e0 - a) <= 1e-14 * (1.0 + abs(e0)) for a in n_of_e.edges):
+        t = math.copysign(2.0, t)       # an edge's phase is exactly 0 or pi
+    roots = (math.acos(t / 2.0),) if abs(t) <= 2.0 else ()
+    cs = [c for phi0 in roots for c in (phi0, -phi0, 2.0 * math.pi - phi0)]
 
-        def e_of(th, k=k):
-            return n_of_e.band_energy(k, th)
+    def integrand(phi):
+        eigs = np.linalg.eigvalsh(_edge_matrix(v, np.exp(1j * phi)))
+        vals = np.sum(np.log(np.abs(eigs - e0) + 1e-300), axis=-1)
+        for c in cs:
+            vals -= np.log(np.abs(phi - c))
+        return vals
 
-        inside = a - 1e-12 <= e0 <= b + 1e-12
-        if inside:
-            theta0 = float(n_of_e.theta_in_band(k, min(max(e0, a), b)))
-            slope = _band_slope(e_of, theta0)
-
-            def smooth(th, e_of=e_of, theta0=theta0, slope=slope):
-                d = th - theta0
-                vals = e_of(th) - e0
-                tiny = np.abs(d) < 1e-9
-                ratio = np.abs(np.where(tiny, slope, vals / np.where(d == 0.0, 1.0, d)))
-                return np.log(ratio + 1e-300)
-
-            res = adaptive_quadrature(smooth, 0.0, math.pi, tol=tol,
-                                      min_panels=4, max_panels=400)
-            analytic = _log_dist_integral(theta0, math.pi)
-            total += (res.value + analytic) / (n * math.pi)
-        else:
-            def integrand(th, e_of=e_of):
-                return np.log(np.abs(e_of(th) - e0) + 1e-300)
-
-            res = adaptive_quadrature(integrand, 0.0, math.pi, tol=tol,
-                                      min_panels=4, max_panels=400)
-            total += res.value / (n * math.pi)
-    return total
+    res = adaptive_quadrature(integrand, 0.0, math.pi, tol=THOULESS_TOL,
+                              min_panels=THOULESS_MIN_PANELS,
+                              max_panels=THOULESS_MAX_PANELS, break_at=roots)
+    analytic = sum(_log_dist_integral(c, math.pi) for c in cs)
+    return (res.value + analytic) / (v.n * math.pi)
 
 
-def _band_slope(e_of, theta0: float, h: float = 1e-6) -> float:
-    lo = max(theta0 - h, 0.0)
-    hi = min(theta0 + h, math.pi)
-    vals = np.asarray(e_of(np.array([lo, hi])), dtype=float)
-    return float((vals[1] - vals[0]) / (hi - lo)) if hi > lo else 1.0
-
-
-def _log_dist_integral(theta0: float, length: float) -> float:
-    """closed form of integral_0^length ln|t - theta0| dt for theta0 in [0, length]."""
-    left = theta0
-    right = length - theta0
+def _log_dist_integral(c: float, length: float) -> float:
+    """closed form of integral_0^length ln|t - c| dt for any real c."""
 
     def part(u):
-        return u * math.log(u) - u if u > 0.0 else 0.0
+        return u * math.log(abs(u)) - u if u != 0.0 else 0.0
 
-    return part(left) + part(right)
+    return part(length - c) - part(-c)
 
 
 def truncated_eigenvalue_counts(v: PeriodicPotential, size: int = 512) -> np.ndarray:

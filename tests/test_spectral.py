@@ -5,10 +5,11 @@ import pytest
 
 from lyaplab.bases import PeriodicOrbits, PeriodicTable, uniform_stream
 from lyaplab.cocycles import lyapunov_periodic_exact, schrodinger_cocycle
+from lyaplab import spectral
 from lyaplab.projective import Mat2, IDENTITY
-from lyaplab.spectral import (PeriodicPotential, band_edges, bands, discriminant,
-                              find_hyperbolic_energy, gap_open_perturb, ids,
-                              thouless_lyapunov, truncated_eigenvalue_counts)
+from lyaplab.spectral import (PeriodicPotential, _log_dist_integral, band_edges, bands,
+                              discriminant, find_hyperbolic_energy, gap_open_perturb,
+                              ids, thouless_lyapunov, truncated_eigenvalue_counts)
 
 
 def brute_force_trace(values, energy):
@@ -235,6 +236,65 @@ class TestThouless:
                 want = lyapunov_periodic_exact(schrodinger_cocycle(base, table, e)).value
                 worst = max(worst, abs(got - want))
         assert worst <= 1e-6
+
+    def test_band_edges_seeded(self):
+        # every edge, and each edge +-1e-12 and +-1e-6, of one seeded
+        # potential per period 1-8 and of four closed-gap potentials: the
+        # exponent is 0 exactly at an edge and grows like a square root
+        # outside it, the hardest places for the quadrature
+        pots = [tuple(4.0 * float(x) - 2.0 for x in uniform_stream(4100 + n, 0, n))
+                for n in range(1, 9)]
+        pots += [(0.0, 0.0), (0.0, 0.0, 0.0), (0.0,) * 4, (1.0, 1.0, 1.0)]
+        bad = []
+        for vals in pots:
+            n_of_e = ids(PeriodicPotential(vals))
+            base = PeriodicOrbits(((len(vals), 1.0),))
+            table = PeriodicTable((vals,))
+            for edge in n_of_e.edges:
+                for e in (edge, edge - 1e-12, edge + 1e-12, edge - 1e-6, edge + 1e-6):
+                    got = thouless_lyapunov(n_of_e, e)
+                    want = lyapunov_periodic_exact(schrodinger_cocycle(base, table, e)).value
+                    if not abs(got - want) <= 1e-6:
+                        bad.append((vals, e, got - want))
+        assert not bad, f"{len(bad)} of 480 off by more than 1e-6: {bad[:3]}"
+
+    def test_one_quadrature_per_energy(self, monkeypatch):
+        # every band comes from the same eigvalsh per node, so one
+        # quadrature per energy, in a gap, inside a band, at an edge or at a
+        # closed gap, and none of them at its panel cap
+        results = []
+        real = spectral.adaptive_quadrature
+
+        def counting(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectral, "adaptive_quadrature", counting)
+        for vals in ((0.6, -0.4, 0.9, 1.2, -1.1), (0.0, 0.0, 0.0)):
+            n_of_e = ids(PeriodicPotential(vals))
+            for e in (-5.0, 0.3, n_of_e.edges[1], n_of_e.edges[2], 2.5):
+                del results[:]
+                thouless_lyapunov(n_of_e, e)
+                assert len(results) == 1
+                assert results[0].panels < 2 * spectral.THOULESS_MAX_PANELS
+
+
+@pytest.mark.parametrize("c", [0.0, 1.3, math.pi, -0.7, 4.2, 2.0 * math.pi - 0.4])
+def test_log_dist_integral_against_numeric(c):
+    # integral_0^pi ln|t - c| dt with c inside, at either end, below and
+    # above; the reference splits at c and grades Gauss-Legendre nodes
+    # towards both ends of each piece (t = end +- half u^5)
+    length = math.pi
+    cuts = sorted({0.0, length, min(max(c, 0.0), length)})
+    x, w = np.polynomial.legendre.leggauss(60)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    want = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        half = 0.5 * (b - a)
+        for end, sign in ((a, 1.0), (b, -1.0)):
+            dist = np.abs((end - c) + sign * half * u ** 5)
+            want += half * float(np.dot(w, 5.0 * u ** 4 * np.log(dist)))
+    assert abs(_log_dist_integral(c, length) - want) <= 1e-12
 
 
 def test_rejects_empty_potential():
