@@ -4,6 +4,11 @@ The integrand is called with a numpy vector of nodes and returns either a
 vector of values or a (values, stderrs) pair; reported per-node statistical
 errors are folded into the returned error estimate.  Panel subdivision is
 deterministic: the worst panel (ties broken by position) is split first.
+
+One call evaluates the nodes of many panels, so an integrand must treat its
+nodes as independent lanes: the value at a node may not depend on the other
+nodes of the call.  The batched Lyapunov evaluations reduce each lane on its
+own, so they meet this.
 """
 
 from __future__ import annotations
@@ -46,29 +51,45 @@ class QuadResult:
     panels: int
 
 
-def _eval_panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _XK
-    out = f(xs)
-    if isinstance(out, tuple):
-        vals, errs = out
-        stderr = float(np.dot(np.abs(_WK), np.asarray(errs, dtype=float))) * half
-    else:
-        vals = out
-        stderr = 0.0
-    vals = np.asarray(vals, dtype=float)
-    k15 = float(np.dot(_WK, vals)) * half
-    g7 = float(np.dot(_WG, vals[_GAUSS_IDX])) * half
-    # the plain |K15 - G7| difference; sharper models understate the error on
-    # integrands with band-edge square-root kinks
-    return k15, abs(k15 - g7), stderr
+def _eval_panels(f, spans) -> list[tuple[float, float, float]]:
+    """(K15 value, |K15 - G7|, folded stderr) of each panel (a, b) of spans,
+    from one call of f on the 15 Kronrod nodes of every panel, laid out panel
+    after panel.  Each panel's sums run over its own 15 values only."""
+    ab = np.asarray(spans, dtype=float)
+    half = 0.5 * (ab[:, 1] - ab[:, 0])
+    mid = 0.5 * (ab[:, 0] + ab[:, 1])
+    out = f((mid[:, None] + half[:, None] * _XK).ravel())
+    vals, errs = out if isinstance(out, tuple) else (out, None)
+    # contiguous rows: a strided np.dot sums in another order
+    vals = np.ascontiguousarray(vals, dtype=float).reshape(-1, 15)
+    if errs is not None:
+        errs = np.ascontiguousarray(errs, dtype=float).reshape(-1, 15)
+    panels = []
+    for i, h in enumerate(half.tolist()):
+        k15 = float(np.dot(_WK, vals[i])) * h
+        g7 = float(np.dot(_WG, vals[i, _GAUSS_IDX])) * h
+        stderr = 0.0 if errs is None else float(np.dot(np.abs(_WK), errs[i])) * h
+        # the plain |K15 - G7| difference; sharper models understate the error
+        # on integrands with band-edge square-root kinks
+        panels.append((k15, abs(k15 - g7), stderr))
+    return panels
+
+
+def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
+    mid = 0.5 * (lo + hi)
+    return [(lo, mid), (mid, hi)]
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9,
                         min_panels: int = 8, max_panels: int = 512,
                         break_at=()) -> QuadResult:
     """Integrate a batched integrand over [a, b] to absolute tolerance tol.
+
+    f is called once per pass: once on the nodes of all initial panels, once
+    on both children of each split, and once on the whole closing pass.  It
+    must treat its nodes as independent lanes, the value at a node not
+    depending on the other nodes of the call, so that the result is the one
+    a call per panel would give, bit for bit.
 
     `break_at` lists interior points that become panel boundaries up front;
     callers pass known kink locations there, because a feature that vanishes
@@ -86,38 +107,33 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9,
     interior = [x for x in break_at if a + 1e-14 < x < b - 1e-14]
     if interior:
         edges = np.unique(np.concatenate([edges, np.asarray(interior, dtype=float)]))
-    min_panels = len(edges) - 1
+    spans = list(zip(edges[:-1], edges[1:]))
     heap = []
-    nodes = 0
-    for i in range(min_panels):
-        val, err, se = _eval_panel(f, edges[i], edges[i + 1])
-        nodes += 15
+    nodes = 15 * len(spans)
+    for (lo, hi), (val, err, se) in zip(spans, _eval_panels(f, spans)):
         # heapq is a min-heap; negate the error to pop the worst panel first.
-        heapq.heappush(heap, (-err, edges[i], edges[i + 1], val, se))
-    panels = min_panels
+        heapq.heappush(heap, (-err, lo, hi, val, se))
+    panels = len(spans)
     while True:
         quad_err = -sum(item[0] for item in heap)
         if quad_err <= tol or panels >= max_panels:
             break
         _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for (u, v) in ((lo, mid), (mid, hi)):
-            val, err, se = _eval_panel(f, u, v)
-            nodes += 15
+        children = _halves(lo, hi)
+        for (u, v), (val, err, se) in zip(children, _eval_panels(f, children)):
             heapq.heappush(heap, (-err, u, v, val, se))
+        nodes += 30
         panels += 1
     coarse = sum(item[3] for item in heap)
+    closing = [half for _, lo, hi, _, _ in heap for half in _halves(lo, hi)]
+    nodes += 15 * len(closing)
     refined = 0.0
     est = 0.0
     stderr = 0.0
-    for _, lo, hi, _, _ in heap:
-        mid = 0.5 * (lo + hi)
-        for (u, v) in ((lo, mid), (mid, hi)):
-            val, err, se = _eval_panel(f, u, v)
-            nodes += 15
-            refined += val
-            est += err
-            stderr += se
+    for val, err, se in _eval_panels(f, closing):
+        refined += val
+        est += err
+        stderr += se
     floor = 5e-14 * (1.0 + abs(refined))
     error = max(est, abs(refined - coarse), floor) + stderr
     return QuadResult(value=refined, error=error, nodes_used=nodes, panels=2 * panels)

@@ -38,7 +38,7 @@ import numpy as np
 from .bases import (BaseSystem, IntegrationScheme, PeriodicOrbits, PeriodicTable,
                     Potential, CylinderTable, combine, constant_potential)
 from .cocycles import (Cocycle, MatrixFamilyEvaluator, SchrodingerFamilyEvaluator,
-                       _lane_estimates, _matmul, _product, schrodinger_trace)
+                       _blocks, _lane_estimates, _matmul, _product, schrodinger_trace)
 from .projective import Sl2Element
 from .quadrature import QuadResult, adaptive_quadrature, gauss_legendre_rule
 
@@ -63,18 +63,6 @@ def weight(t):
 
 # ---------------------------------------------------------------------------
 # conformal maps
-
-def cmap_phi(z: complex) -> complex:
-    """Disk -> upper half plane, (1, i, -1) -> (0, 1, infinity)."""
-    z = complex(z)
-    if z == -1.0:
-        return complex(math.inf, 0.0)
-    return 1j * (1.0 - z) / (1.0 + z)
-
-
-def cmap_phi_inv(z: complex) -> complex:
-    return -(z - 1j) / (z + 1j)
-
 
 def cmap_psi(z):
     """Disk -> (disk intersect upper half plane); psi(0) = (sqrt(2)-1) i.
@@ -172,27 +160,36 @@ class _PhiMachine:
         self.sv0 = self.ev.potential_support(q.resolved_v0())
         self.sw = self.ev.potential_support(q.w)
         self.periodic = isinstance(q.base, PeriodicOrbits)
+        self.lane_size = sum(np.size(x) for x in (self.sv if self.periodic else [self.sv]))
         self._kinks = None
 
-    def _entries(self, zs: np.ndarray, s: complex = 1.0):
+    def _entry_blocks(self, zs, s: complex = 1.0):
+        """(lane slice, entries) of the nodes zs, one `_blocks` lane block at
+        a time, so no more than one block's entries exist at once."""
         q = self.q
-        z = np.asarray(zs)
-        return self.ev.lane_entries(self.sv, (q.epsilon * z, self.sv0),
-                                    (q.epsilon * (1.0 - z * z) * s, self.sw))
+        zs = np.asarray(zs)
+        for ls, _ in _blocks(len(zs), 1, self.lane_size):
+            z = zs[ls]
+            yield ls, self.ev.lane_entries(self.sv, (q.epsilon * z, self.sv0),
+                                           (q.epsilon * (1.0 - z * z) * s, self.sw))
 
     def L_at(self, zs, s: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """L(v + eps(z v0 + (1-z^2) s w)) at the nodes zs."""
-        return self.ev.lyapunov_batch(self._entries(zs, s))
+        vals, errs = np.empty(len(zs)), np.empty(len(zs))
+        for ls, ent in self._entry_blocks(zs, s):
+            vals[ls], errs[ls] = self.ev.lyapunov_batch(ent)
+        return vals, errs
 
     def min_imag_entry(self, zs) -> np.ndarray:
         """min over the sampled base of Im(entry) per node; positive values
         certify uniform hyperbolicity through the hemisphere conefield."""
-        ent = self._entries(zs)
-        if self.periodic:
-            per_orbit = np.stack([e.imag.min(axis=-1) for e in ent])
-            return per_orbit.min(axis=0)
-        ent = np.asarray(ent)
-        return ent.imag.reshape(ent.shape[0], -1).min(axis=-1)
+        out = np.empty(len(zs))
+        for ls, ent in self._entry_blocks(zs):
+            if self.periodic:
+                out[ls] = np.stack([e.imag.min(axis=-1) for e in ent]).min(axis=0)
+            else:
+                out[ls] = ent.imag.reshape(ent.shape[0], -1).min(axis=-1)
+        return out
 
     def kinks(self) -> tuple[float, ...]:
         """t in (-1, 1) where a monodromy trace crosses +-2 along the family.
@@ -377,13 +374,6 @@ def _exp_sl2(d1, d2, d3) -> tuple:
         sh = np.where(hyper, np.sinh(delta), np.sin(delta))
     sc = np.where(small, 1.0 + q / 6.0 * (1.0 + q / 20.0), sh / np.where(small, 1.0, delta))
     return ch + sc * d1, sc * d2, sc * d3, ch - sc * d1
-
-
-def exp_sl2_batch(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarray:
-    """exp of [[d1, d2], [d3, -d1]] elementwise; returns (..., 2, 2), real
-    for real input."""
-    a, b, c, d = _exp_sl2(np.asarray(d1), np.asarray(d2), np.asarray(d3))
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
 class GeneralFamilyEvaluator:

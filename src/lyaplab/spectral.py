@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import uniform_stream
-from .cocycles import schrodinger_trace
+from .cocycles import _blocks, schrodinger_trace
 from .quadrature import adaptive_quadrature
 
 DEFAULT_RESOLUTION = 1e-9
@@ -244,12 +244,13 @@ def thouless_lyapunov(n_of_e: IDS, energy: float) -> float:
 
     dN = dtheta / (n pi) on every band and theta -> phi is a reflection, so
     the integral is (1 / (n pi)) int_0^pi sum_k ln|E_k(phi) - E| dphi, with
-    every band's E_k(phi) at a panel's nodes from one eigvalsh.  For E in the
-    spectrum the integrand has log singularities where 2 cos phi = t(E):
-    ln|phi - c| is subtracted for c in {phi0, -phi0, 2 pi - phi0}, phi0 =
-    arccos(t(E)/2), and added back in closed form.  Subtraction and
-    add-back cancel for any c, so t(E) only steers the convergence.  The
-    raw value is returned (no clamping at 0).
+    every band's E_k(phi) at a quadrature pass's nodes from one eigvalsh per
+    `_blocks` block of n x n matrices.  For E in the spectrum the integrand
+    has log singularities where 2 cos phi = t(E): ln|phi - c| is subtracted
+    for c in {phi0, -phi0, 2 pi - phi0}, phi0 = arccos(t(E)/2), and added
+    back in closed form.  Subtraction and add-back cancel for any c, so
+    t(E) only steers the convergence.  The raw value is returned (no
+    clamping at 0).
     """
     e0 = float(energy)
     v = n_of_e.potential
@@ -260,8 +261,10 @@ def thouless_lyapunov(n_of_e: IDS, energy: float) -> float:
     cs = [c for phi0 in roots for c in (phi0, -phi0, 2.0 * math.pi - phi0)]
 
     def integrand(phi):
-        eigs = np.linalg.eigvalsh(_edge_matrix(v, np.exp(1j * phi)))
-        vals = np.sum(np.log(np.abs(eigs - e0) + 1e-300), axis=-1)
+        vals = np.empty(len(phi))
+        for ls, _ in _blocks(len(phi), 1, v.n * v.n):
+            eigs = np.linalg.eigvalsh(_edge_matrix(v, np.exp(1j * phi[ls])))
+            vals[ls] = np.sum(np.log(np.abs(eigs - e0) + 1e-300), axis=-1)
         for c in cs:
             vals -= np.log(np.abs(phi - c))
         return vals

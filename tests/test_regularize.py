@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ import pytest
 from lyaplab.bases import (CircleRotation, IntegrationScheme, PeriodicOrbits,
                            PeriodicTable, TrigPolynomial, combine,
                            constant_potential, uniform_stream)
-from lyaplab.cocycles import constant_cocycle, lyapunov_periodic_exact, schrodinger_entry_cocycle
+from lyaplab.cocycles import (BLOCK_ELEMENTS, SchrodingerFamilyEvaluator, constant_cocycle,
+                              lyapunov_periodic_exact, schrodinger_entry_cocycle)
 from lyaplab.projective import Mat2, ROTATION_GENERATOR, Sl2Element, rotation
 from lyaplab.quadrature import adaptive_quadrature
 from lyaplab.regularize import (BALL_EXPONENT, DEFAULT_ETA_GEN, PSI_CENTER, NotUH,
-                                PhiQuery, Sl2Field, analyticity_probe, cmap_phi,
-                                cmap_phi_inv, cmap_psi, exp_sl2_batch,
-                                inf_lower_bound, phi, phi_boundary,
-                                phi_convolved, phi_general, poisson_check, weight)
+                                PhiQuery, Sl2Field, _exp_sl2, _PhiMachine,
+                                analyticity_probe, cmap_psi, inf_lower_bound, phi,
+                                phi_boundary, phi_convolved, phi_general,
+                                poisson_check, weight)
 
 PERIOD1 = PeriodicOrbits(((1, 1.0),))
 PERIOD2 = PeriodicOrbits(((2, 1.0),))
@@ -41,6 +43,19 @@ class TestWeight:
     def test_normalization_quarter_pi(self):
         res = adaptive_quadrature(lambda t: weight(t), -1.0, 1.0, tol=1e-12)
         assert abs(res.value - math.pi / 4.0) <= 1e-10
+
+
+def cmap_phi(z: complex) -> complex:
+    """Disk -> upper half plane, (1, i, -1) -> (0, 1, infinity): the first
+    factor of cmap_psi, as an independent scalar oracle."""
+    z = complex(z)
+    if z == -1.0:
+        return complex(math.inf, 0.0)
+    return 1j * (1.0 - z) / (1.0 + z)
+
+
+def cmap_phi_inv(z: complex) -> complex:
+    return -(z - 1j) / (z + 1j)
 
 
 class TestConformalMaps:
@@ -140,6 +155,28 @@ class TestPhi:
         assert abs(res.value - oracle.value) < 5e-3
 
 
+def test_L_at_builds_entries_one_block_at_a_time(monkeypatch):
+    q = PhiQuery(base=CircleRotation(GOLDEN), v=TrigPolynomial(const=-2.5, cos=(0.4,)),
+                 w=TrigPolynomial(cos=(0.2,), sin=(0.1,)), epsilon=0.3,
+                 scheme=IntegrationScheme(n=16384))
+    machine = _PhiMachine(q)
+    sizes = []
+    batch = SchrodingerFamilyEvaluator.lyapunov_batch
+
+    def recording(self, entries):
+        sizes.append(np.size(entries))
+        return batch(self, entries)
+
+    monkeypatch.setattr(SchrodingerFamilyEvaluator, "lyapunov_batch", recording)
+    ts = np.cos(math.pi * (np.arange(512) + 0.5) / 512)
+    vals, errs = machine.L_at(ts)
+    assert len(sizes) > 1
+    assert max(sizes) <= max(BLOCK_ELEMENTS, machine.ev.n)
+    panels = [machine.L_at(ts[i:i + 15]) for i in range(0, len(ts), 15)]
+    assert np.array_equal(vals, np.concatenate([v for v, _ in panels]))
+    assert np.array_equal(errs, np.concatenate([e for _, e in panels]))
+
+
 class TestBoundaryIdentity:
     def test_agreement_seeded_period_two(self):
         u = uniform_stream(91, 0, 200)
@@ -190,6 +227,19 @@ class TestBoundaryIdentity:
                      w=constant_potential(PERIOD1, 0.9), epsilon=0.2)
         with pytest.raises(NotUH):
             phi_boundary(q)
+
+    def test_not_uh_names_a_failing_node_of_the_first_pass(self):
+        # Im(entry) = eps Im z (1 - 2 w Re z) on the arc, so only the nodes
+        # with Re z > 1 / (2 w) fail; the first pass holds passing and
+        # failing nodes in one call
+        w = 0.6
+        q = PhiQuery(base=PERIOD1, v=constant_potential(PERIOD1, 0.0),
+                     w=constant_potential(PERIOD1, w), epsilon=0.2)
+        with pytest.raises(NotUH, match="boundary node") as info:
+            phi_boundary(q)
+        theta = float(re.search(r"theta=([0-9.]+)", str(info.value)).group(1))
+        assert 0.0 < theta < 0.5
+        assert cmap_psi(cmath.exp(2j * math.pi * theta)).real > 1.0 / (2.0 * w)
 
     def test_poisson_center_equals_circle_mean_on_uh_disk(self):
         q = PhiQuery(base=PERIOD1, v=constant_potential(PERIOD1, -5.0),
@@ -457,8 +507,10 @@ def test_exp_sl2_batch_matches_scalar():
     from lyaplab.projective import exp_sl2
     rng = np.random.default_rng(12)
     d = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)) * 0.3
-    batch = exp_sl2_batch(d[0], d[1], d[2])
+    a, b, c, dd = _exp_sl2(d[0], d[1], d[2])
     for i in range(8):
         m = exp_sl2(Sl2Element(d[0, i], d[1, i], d[2, i]))
-        assert abs(batch[i, 0, 0] - m.a11) < 1e-12
-        assert abs(batch[i, 1, 0] - m.a21) < 1e-12
+        assert abs(a[i] - m.a11) < 1e-12
+        assert abs(b[i] - m.a12) < 1e-12
+        assert abs(c[i] - m.a21) < 1e-12
+        assert abs(dd[i] - m.a22) < 1e-12
